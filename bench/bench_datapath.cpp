@@ -78,7 +78,6 @@ struct CopyStats {
 double ScanOnce(DfsRig& rig, const std::string& path, size_t prefetch_threads,
                 CopyStats* copy = nullptr) {
   CacheManager::Options opts;
-  opts.diskless = true;  // MemoryCacheStore: the region-sharing store
   opts.prefetch_threads = prefetch_threads;
   opts.readahead_min_blocks = 8;
   opts.readahead_max_blocks = 64;
@@ -130,7 +129,6 @@ double ScanOnce(DfsRig& rig, const std::string& path, size_t prefetch_threads,
 // Writes kFileBytes locally, then times the fsync push; returns MB/s.
 double WriteOnce(DfsRig& rig, const std::string& path, size_t prefetch_threads) {
   CacheManager::Options opts;
-  opts.diskless = true;
   opts.prefetch_threads = prefetch_threads;
   if (prefetch_threads > 0) {
     opts.max_rpc_bytes = kMaxRpcBytes;
@@ -247,7 +245,6 @@ int main() {
   std::vector<VnodeRef> sat_files;
   for (int i = 0; i < kSatClients; ++i) {
     CacheManager::Options sopts;
-    sopts.diskless = true;
     sopts.prefetch_threads = 2;
     sopts.readahead_min_blocks = 8;
     sopts.readahead_max_blocks = 64;

@@ -89,31 +89,18 @@ CacheManager::CacheManager(Network& network, std::vector<NodeId> vldb_nodes, Tic
       vldb_(network, options.node, std::move(vldb_nodes)),
       ticket_(std::move(ticket)),
       options_(options) {
-  if (options_.persistent_cache && !options_.diskless) {
-    SimDisk* medium = options_.persistent_cache_disk;
-    if (medium == nullptr) {
-      owned_cache_disk_ = std::make_unique<SimDisk>(options_.cache_disk_blocks);
-      medium = owned_cache_disk_.get();
-    }
-    PersistentCacheStore::Options popts;
-    popts.wal_blocks = options_.persistent_cache_wal_blocks;
-    popts.journal_blocks = options_.persistent_cache_journal_blocks;
-    auto pstore = PersistentCacheStore::Open(medium, popts);
+  if (options_.persistent_cache_disk != nullptr) {
+    auto pstore = PersistentCacheStore::Open(options_.persistent_cache_disk,
+                                             PersistentCacheStore::Options{});
     if (pstore.ok()) {
       persist_ = pstore->get();
       store_ = std::move(*pstore);
     }
     // Open failure (undersized or corrupt medium) falls through to the
-    // in-memory paths below: the client runs, just not persistently.
+    // memory store: the client runs, just not persistently.
   }
   if (store_ == nullptr) {
-    if (options_.diskless) {
-      store_ = std::make_unique<MemoryCacheStore>();
-    } else {
-      auto disk_store = DiskCacheStore::Create(options_.cache_disk_blocks);
-      store_ = disk_store.ok() ? std::unique_ptr<CacheStore>(std::move(*disk_store))
-                               : std::make_unique<MemoryCacheStore>();
-    }
+    store_ = std::make_unique<MemoryCacheStore>();
   }
   prefetcher_ = std::make_unique<Prefetcher>(Prefetcher::Options{
       options_.prefetch_threads, options_.readahead_min_blocks,
@@ -569,9 +556,8 @@ Status CacheManager::StoreDirtyRangeLocked(CVnode& cv, const ByteRange& range,
     for (uint64_t b = first; b <= last; ++b) {
       uint64_t boff = b * kBlockSize - offset;
       size_t n = std::min<size_t>(kBlockSize, run_len - boff);
-      auto slice = store_->GetSlice(cv.fid, b, n);
-      w.PutSlice(slice.ok() ? *std::move(slice)
-                            : BufferSlice::TakeOwnership(std::vector<uint8_t>(n, 0)));
+      ASSIGN_OR_RETURN(BufferSlice slice, DirtySliceLocked(cv, b, n));
+      w.PutSlice(std::move(slice));
     }
     {
       MutexLock lock(mu_);
@@ -604,6 +590,14 @@ Status CacheManager::StoreDirtyRangeLocked(CVnode& cv, const ByteRange& range,
   return Status::Ok();
 }
 
+Result<BufferSlice> CacheManager::DirtySliceLocked(const CVnode& cv, uint64_t b, size_t n) {
+  auto slice = store_->GetSlice(cv.fid, b, n);
+  if (!slice.ok()) {
+    return Status(ErrorCode::kIoError, "dirty block missing from the cache store");
+  }
+  return slice;
+}
+
 Status CacheManager::ApplyRevocationLocked(CVnode& cv, const Token& token, uint32_t types,
                                            uint64_t stamp) {
   (void)stamp;
@@ -624,9 +618,12 @@ Status CacheManager::ApplyRevocationLocked(CVnode& cv, const Token& token, uint3
     // cold if the reader comes back.
     cv.prefetch_gen += 1;
     prefetcher_->Forget(cv.fid);
+    // Blocks still dirty here are covered by a write token this revocation
+    // does not take; that token's own revocation stores them back first.
     for (auto it = cv.cached_blocks.begin(); it != cv.cached_blocks.end();) {
       uint64_t bstart = *it * kBlockSize;
-      if (token.range.Overlaps(ByteRange{bstart, bstart + kBlockSize})) {
+      if (token.range.Overlaps(ByteRange{bstart, bstart + kBlockSize}) &&
+          cv.dirty_blocks.count(*it) == 0) {
         NotePrefetchDropLocked(cv, *it);
         store_->Erase(cv.fid, *it);
         RemoveLru(cv.fid, *it);
@@ -1654,9 +1651,8 @@ Result<bool> CacheManager::PushOneDirtyRunHighLocked(CVnode& cv, bool background
     for (uint64_t b = first; b <= last; ++b) {
       uint64_t boff = b * kBlockSize - offset;
       size_t n = std::min<size_t>(kBlockSize, run_len - boff);
-      auto slice = store_->GetSlice(cv.fid, b, n);
-      parts.push_back(slice.ok() ? *std::move(slice)
-                                 : BufferSlice::TakeOwnership(std::vector<uint8_t>(n, 0)));
+      ASSIGN_OR_RETURN(BufferSlice slice, DirtySliceLocked(cv, b, n));
+      parts.push_back(std::move(slice));
       blocks.push_back(b);
     }
     break;

@@ -6,9 +6,10 @@
 //    answers invalidate the cached location and retry, which is how clients
 //    follow a volume as it moves between servers.
 //  - Cache layer: file status and data cached under typed tokens. Data lives
-//    in a CacheStore (disk-backed, or memory for diskless clients). A write
-//    data token lets writes stay local; a status read token makes GetAttr
-//    free; revocations push dirty pages back and drop the cache.
+//    in a CacheStore (memory by default, or a disk-backed persistent store
+//    that survives a client reboot). A write data token lets writes stay
+//    local; a status read token makes GetAttr free; revocations push dirty
+//    pages back and drop the cache.
 //  - Directory layer: results of individual lookups (and full listings) are
 //    cached while a status-read token is held on the directory — the client
 //    cannot assume it understands a remote file system's directory format
@@ -87,15 +88,13 @@ class CacheManager : public RpcHandler {
  public:
   struct Options {
     NodeId node = 0;
-    bool diskless = false;            // memory data cache instead of disk
-    uint64_t cache_disk_blocks = 4096;
     // Data tokens cover exactly the accessed (block-aligned) byte range when
     // false; whole files when true (the AFS-style degradation for E6).
     bool whole_file_data_tokens = false;
-    // Capacity of the data cache in 4 KiB blocks; clean blocks are evicted
-    // LRU when exceeded (dirty blocks are never evicted — they must be
-    // stored back first, which revocations and fsync do).
-    uint64_t max_cached_blocks = 1 << 20;
+    // Capacity of the data cache in 4 KiB blocks (default 16 MiB); clean
+    // blocks are evicted LRU when exceeded (dirty blocks are never evicted —
+    // they must be stored back first, which revocations and fsync do).
+    uint64_t max_cached_blocks = 4096;
     // On a detected sequential read, fetch this many extra blocks (and the
     // matching token range) ahead of the requested data. 0 disables. Only
     // used by the synchronous data path (prefetch_threads == 0): the
@@ -153,19 +152,13 @@ class CacheManager : public RpcHandler {
     // restart). 0 disables (the default: cached reads survive partitions,
     // which existing failure tests rely on).
     uint32_t client_lease_ttl_ms = 0;
-    // Persistent client cache (src/client/persist): back the data cache and
-    // the token state with a SimDisk so both survive a client crash. Off by
-    // default — the in-memory/scratch-disk stores keep their exact behavior.
-    bool persistent_cache = false;
-    // The medium. Caller-owned and must outlive the CacheManager: a rebooted
-    // client hands the *same* SimDisk to its successor, which is what makes
-    // Recover() find a warm cache. Null = a private disk of
-    // cache_disk_blocks blocks (persists only for this process's lifetime).
+    // Persistent client cache (src/client/persist): when set, the data cache
+    // and the token state live in a PersistentCacheStore on this SimDisk so
+    // both survive a client crash. Caller-owned and must outlive the
+    // CacheManager: a rebooted client hands the *same* SimDisk to its
+    // successor, which is what makes Recover() find a warm cache. Null (the
+    // default) = the in-memory MemoryCacheStore.
     SimDisk* persistent_cache_disk = nullptr;
-    // On-disk layout knobs (see persistent_cache.h): index-WAL area and
-    // token-journal area sizes in 4 KiB blocks.
-    uint64_t persistent_cache_wal_blocks = 64;
-    uint64_t persistent_cache_journal_blocks = 33;
     // Piggybacked journal maintenance: a keep-alive pass that finds at least
     // this many raw appends since the last compaction checkpoints the token
     // journal, so replay stays cheap without waiting for a half to fill.
@@ -382,6 +375,10 @@ class CacheManager : public RpcHandler {
       REQUIRES(cv.low);
   Status StoreDirtyRangeLocked(CVnode& cv, const ByteRange& range, bool revocation_path)
       REQUIRES(cv.low);
+  // The first `n` bytes of dirty block `b`, for a store to the server. A
+  // store that lost them yields kIoError: pushing anything else would write
+  // bytes nobody wrote.
+  Result<BufferSlice> DirtySliceLocked(const CVnode& cv, uint64_t b, size_t n) REQUIRES(cv.low);
   // Pushes the first contiguous dirty run to the server. Returns true if a
   // run was pushed, false when no dirty data remains. Takes (and drops)
   // cv.low around the run itself. `background` attributes the store to the
@@ -544,17 +541,11 @@ class CacheManager : public RpcHandler {
   Ticket ticket_;
   // GUARD-EXEMPT: configuration snapshot, never written after construction.
   Options options_;
-  // Private medium for persistent_cache without a caller-provided disk.
-  // Declared before store_ so the store (which holds buffers over it) is
-  // destroyed first.
-  // GUARD-EXEMPT: set once at construction; only the pointer identity is
-  // read afterwards (the device itself is driven through store_).
-  std::unique_ptr<SimDisk> owned_cache_disk_;
   // GUARD-EXEMPT: pointer set at construction and never reseated; the
   // pointee is internally synchronized (each store carries its own mutex).
   std::unique_ptr<CacheStore> store_;
   // Non-owning view of store_ when it is a PersistentCacheStore; null for the
-  // memory/scratch-disk stores (every persist hook checks this).
+  // memory store (every persist hook checks this).
   // GUARD-EXEMPT: alias of store_ fixed at construction, never reseated.
   PersistentCacheStore* persist_ = nullptr;
   // Background-readahead window state machine + the data-path thread pool

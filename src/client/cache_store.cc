@@ -1,8 +1,7 @@
 #include "src/client/cache_store.h"
 
+#include <algorithm>
 #include <cstring>
-
-#include "src/vfs/path.h"
 
 namespace dfs {
 
@@ -56,17 +55,6 @@ void MemoryCacheStore::Erase(const Fid& fid, uint64_t block) {
   blocks_.erase({fid, block});
 }
 
-void MemoryCacheStore::EraseFile(const Fid& fid) {
-  MutexLock lock(mu_);
-  for (auto it = blocks_.begin(); it != blocks_.end();) {
-    if (it->first.first == fid) {
-      it = blocks_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 uint64_t MemoryCacheStore::bytes_used() const {
   MutexLock lock(mu_);
   uint64_t total = 0;
@@ -74,68 +62,6 @@ uint64_t MemoryCacheStore::bytes_used() const {
     total += data.size();
   }
   return total;
-}
-
-Result<std::unique_ptr<DiskCacheStore>> DiskCacheStore::Create(uint64_t disk_blocks) {
-  auto store = std::unique_ptr<DiskCacheStore>(new DiskCacheStore());
-  store->disk_ = std::make_unique<SimDisk>(disk_blocks);
-  FfsVfs::Options opts;
-  opts.inode_count = 2048;
-  ASSIGN_OR_RETURN(store->fs_, FfsVfs::Format(*store->disk_, opts));
-  return store;
-}
-
-std::string DiskCacheStore::NameFor(const Fid& fid) {
-  return "c" + std::to_string(fid.volume) + "_" + std::to_string(fid.vnode) + "_" +
-         std::to_string(fid.uniq);
-}
-
-Result<VnodeRef> DiskCacheStore::CacheFile(const Fid& fid, bool create) {
-  ASSIGN_OR_RETURN(VnodeRef root, fs_->Root());
-  std::string name = NameFor(fid);
-  auto existing = root->Lookup(name);
-  if (existing.ok() || !create) {
-    return existing;
-  }
-  return root->Create(name, FileType::kFile, 0600, Cred{});
-}
-
-Status DiskCacheStore::Put(const Fid& fid, uint64_t block, std::span<const uint8_t> data) {
-  MutexLock lock(mu_);
-  ASSIGN_OR_RETURN(VnodeRef file, CacheFile(fid, /*create=*/true));
-  ASSIGN_OR_RETURN(size_t n, file->Write(block * kBlockSize, data));
-  (void)n;
-  bytes_ += data.size();
-  return Status::Ok();
-}
-
-Status DiskCacheStore::Get(const Fid& fid, uint64_t block, std::span<uint8_t> out) {
-  MutexLock lock(mu_);
-  ASSIGN_OR_RETURN(VnodeRef file, CacheFile(fid, /*create=*/false));
-  std::memset(out.data(), 0, out.size());
-  ASSIGN_OR_RETURN(size_t n, file->Read(block * kBlockSize, out));
-  (void)n;
-  return Status::Ok();
-}
-
-void DiskCacheStore::Erase(const Fid& fid, uint64_t block) {
-  // Individual blocks stay in the cache file; validity lives with the cache
-  // manager. Nothing to reclaim at this granularity.
-  (void)fid;
-  (void)block;
-}
-
-void DiskCacheStore::EraseFile(const Fid& fid) {
-  MutexLock lock(mu_);
-  auto root = fs_->Root();
-  if (root.ok()) {
-    (void)(*root)->Unlink(NameFor(fid));
-  }
-}
-
-uint64_t DiskCacheStore::bytes_used() const {
-  MutexLock lock(mu_);
-  return bytes_;
 }
 
 }  // namespace dfs

@@ -2,20 +2,20 @@
 //
 // AFS clients cache file data in files of the node's native physical file
 // system; DEcorum carries that over and adds an in-memory variant so diskless
-// clients work. DiskCacheStore dogfoods our FFS as the "native" cache file
-// system; MemoryCacheStore is the diskless option. Both store whole 4 KiB
-// file blocks keyed by (fid, block index); validity is tracked by the cache
+// clients work. MemoryCacheStore is that in-memory store and the default; the
+// disk-backed store is PersistentCacheStore (src/client/persist), whose point
+// is that the cache survives a client reboot. Stores hold whole 4 KiB file
+// blocks keyed by (fid, block index); validity is tracked by the cache
 // manager, not the store.
 #ifndef SRC_CLIENT_CACHE_STORE_H_
 #define SRC_CLIENT_CACHE_STORE_H_
 
 #include <map>
-#include <memory>
+#include <span>
 
-#include "src/blockdev/block_device.h"
 #include "src/common/buffer.h"
 #include "src/common/mutex.h"
-#include "src/ffs/ffs.h"
+#include "src/common/status.h"
 #include "src/vfs/types.h"
 
 namespace dfs {
@@ -26,7 +26,6 @@ class CacheStore {
   virtual Status Put(const Fid& fid, uint64_t block, std::span<const uint8_t> data) = 0;
   virtual Status Get(const Fid& fid, uint64_t block, std::span<uint8_t> out) = 0;
   virtual void Erase(const Fid& fid, uint64_t block) = 0;
-  virtual void EraseFile(const Fid& fid) = 0;
   virtual uint64_t bytes_used() const = 0;
 
   // Slice-aware entry points for the zero-copy data path. The defaults adapt
@@ -55,7 +54,6 @@ class MemoryCacheStore : public CacheStore {
   Result<BufferSlice> GetSlice(const Fid& fid, uint64_t block, size_t len) override;
   bool SharesSlices() const override { return true; }
   void Erase(const Fid& fid, uint64_t block) override;
-  void EraseFile(const Fid& fid) override;
   uint64_t bytes_used() const override;
 
  private:
@@ -72,33 +70,6 @@ class MemoryCacheStore : public CacheStore {
   // snapshot while the map moves on (the eviction/overwrite race test).
   mutable Mutex mu_;
   std::map<Key, BufferSlice, KeyLess> blocks_ GUARDED_BY(mu_);
-};
-
-// Cache files live in a local FFS: one file per remote fid.
-class DiskCacheStore : public CacheStore {
- public:
-  // Creates a cache partition of `disk_blocks` blocks on a private SimDisk.
-  static Result<std::unique_ptr<DiskCacheStore>> Create(uint64_t disk_blocks);
-
-  Status Put(const Fid& fid, uint64_t block, std::span<const uint8_t> data) override;
-  Status Get(const Fid& fid, uint64_t block, std::span<uint8_t> out) override;
-  void Erase(const Fid& fid, uint64_t block) override;
-  void EraseFile(const Fid& fid) override;
-  uint64_t bytes_used() const override;
-
- private:
-  DiskCacheStore() = default;
-  Result<VnodeRef> CacheFile(const Fid& fid, bool create) REQUIRES(mu_);
-  static std::string NameFor(const Fid& fid);
-
-  // GUARD-EXEMPT: owned medium created once in Create(), never reseated; all
-  // I/O against it goes through fs_ under mu_.
-  std::unique_ptr<SimDisk> disk_;
-  std::shared_ptr<FfsVfs> fs_ PT_GUARDED_BY(mu_);
-  // LOCK-EXEMPT(leaf): serializes cache-FFS operations; below every
-  // hierarchy level (only taken from cache-manager code holding L3).
-  mutable Mutex mu_;
-  uint64_t bytes_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace dfs

@@ -508,21 +508,6 @@ void PersistentCacheStore::Erase(const Fid& fid, uint64_t block) {
   }
 }
 
-void PersistentCacheStore::EraseFile(const Fid& fid) {
-  MutexLock lock(mu_);
-  if (wal_ == nullptr) {
-    return;
-  }
-  std::vector<uint64_t> victims;
-  for (auto it = by_key_.lower_bound({fid, 0});
-       it != by_key_.end() && it->first.first == fid; ++it) {
-    victims.push_back(it->second);
-  }
-  for (uint64_t slot : victims) {
-    (void)EraseSlotLocked(slot);
-  }
-}
-
 uint64_t PersistentCacheStore::bytes_used() const {
   MutexLock lock(mu_);
   return bytes_used_;

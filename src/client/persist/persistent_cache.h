@@ -1,7 +1,7 @@
 // Disk-backed client cache with a token journal (warm-reboot reassertion).
 //
 // AFS clients survive reboots with a warm cache because the cache lives in
-// the node's local file system; DEcorum's diskless MemoryCacheStore loses
+// the node's local file system; DEcorum's in-memory MemoryCacheStore loses
 // everything. This store backs the client cache with a caller-owned SimDisk
 // so both the data blocks and the token state survive a client crash:
 //
@@ -136,11 +136,10 @@ class PersistentCacheStore : public CacheStore {
 
   // CacheStore interface. Put() stores a clean block with unknown version
   // metadata; recovery drops such entries, so integration code should prefer
-  // PutBlock(). Get/Erase/EraseFile behave like the sibling stores.
+  // PutBlock(). Get/Erase behave like MemoryCacheStore's.
   Status Put(const Fid& fid, uint64_t block, std::span<const uint8_t> data) override;
   Status Get(const Fid& fid, uint64_t block, std::span<uint8_t> out) override;
   void Erase(const Fid& fid, uint64_t block) override;
-  void EraseFile(const Fid& fid) override;
   uint64_t bytes_used() const override;
 
   // Full-metadata put: `stamp` is the file's serialization stamp,

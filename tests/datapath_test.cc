@@ -417,9 +417,7 @@ TEST(DatapathTest, ReadSlicesServesZeroCopyOverMemoryStore) {
   ASSERT_NE(rig, nullptr);
   SeedFile(*rig, "/zc", 16, 'z');
 
-  CacheManager::Options opts;
-  opts.diskless = true;  // MemoryCacheStore: the region-sharing store
-  CacheManager* reader = rig->NewClient("alice", opts);
+  CacheManager* reader = rig->NewClient("alice");  // MemoryCacheStore shares regions
   ASSERT_OK_AND_ASSIGN(VfsRef vfs, reader->MountVolume("home"));
   ASSERT_OK_AND_ASSIGN(VnodeRef f, ResolvePath(*vfs, "/zc"));
 

@@ -5,6 +5,7 @@
 
 #include <string>
 
+#include "src/ffs/ffs.h"
 #include "src/vfs/path.h"
 #include "tests/dfs_rig.h"
 #include "tests/test_util.h"
@@ -258,9 +259,9 @@ TEST(DfsIntegrationTest, RemoveOfOpenFileIsTextBusy) {
 TEST(DfsIntegrationTest, DisklessClientWorks) {
   auto rig = DfsRig::Create();
   ASSERT_NE(rig, nullptr);
-  CacheManager::Options opts;
-  opts.diskless = true;  // Section 4.2: in-memory data cache
-  CacheManager* client = rig->NewClient("alice", opts);
+  // Section 4.2: a client without a cache disk keeps its data in memory.
+  CacheManager* client = rig->NewClient("alice");
+  ASSERT_EQ(client->persistent_store(), nullptr);
   ASSERT_OK_AND_ASSIGN(VfsRef vfs, client->MountVolume("home"));
   ASSERT_OK(WriteFileAt(*vfs, "/mem", "no disk here", TestCred()));
   ASSERT_OK_AND_ASSIGN(std::string back, ReadFileAt(*vfs, "/mem"));

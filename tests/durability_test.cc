@@ -75,7 +75,6 @@ TEST(EvictionTest, BoundedCacheEvictsCleanBlocksLru) {
   auto rig = DfsRig::Create();
   ASSERT_NE(rig, nullptr);
   CacheManager::Options opts;
-  opts.diskless = true;
   opts.max_cached_blocks = 8;
   CacheManager* client = rig->NewClient("alice", opts);
   ASSERT_OK_AND_ASSIGN(VfsRef vfs, client->MountVolume("home"));
@@ -100,7 +99,6 @@ TEST(EvictionTest, DirtyBlocksAreNeverEvicted) {
   auto rig = DfsRig::Create();
   ASSERT_NE(rig, nullptr);
   CacheManager::Options opts;
-  opts.diskless = true;
   opts.max_cached_blocks = 4;
   CacheManager* client = rig->NewClient("alice", opts);
   ASSERT_OK_AND_ASSIGN(VfsRef vfs, client->MountVolume("home"));

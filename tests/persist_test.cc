@@ -333,7 +333,6 @@ TEST(PersistentStoreTest, CrashPointSweepRecoversFromAnyPrefix) {
 
 CacheManager::Options PersistentClientOptions(SimDisk* disk) {
   CacheManager::Options copts;
-  copts.persistent_cache = true;
   copts.persistent_cache_disk = disk;
   copts.node = kFirstClientNode;  // reboots keep the host identity
   return copts;

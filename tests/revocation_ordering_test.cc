@@ -5,6 +5,7 @@
 // for tokens it has not seen yet, and never lets old status overwrite new.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 
 #include "src/vfs/path.h"
@@ -106,6 +107,54 @@ TEST(RevocationOrderingTest, OpenTokenRevocationRefusedWhileOpen) {
   ASSERT_OK(h.Close());
   EXPECT_EQ(SendRevocation(*rig, client->node(), open_token, open_token.types, 101),
             kRevokeReturned);
+}
+
+// A read-only data token and a read+write data token can cover the same dirty
+// block. Revoking the read-only one first must leave the dirty bytes in the
+// cache, so the write-token revocation that follows stores them back intact
+// (not zeros, and not an error).
+TEST(RevocationOrderingTest, ReadTokenRevocationKeepsDirtyBlocks) {
+  auto rig = DfsRig::Create();
+  ASSERT_NE(rig, nullptr);
+  CacheManager* client = rig->NewClient();
+  ASSERT_OK_AND_ASSIGN(VfsRef vfs, client->MountVolume("home"));
+  ASSERT_OK(WriteFileAt(*vfs, "/f", std::string(kBlockSize, 'o'), TestCred()));
+  ASSERT_OK(client->SyncAll());
+  ASSERT_OK(client->ReturnAllTokens());
+  ASSERT_OK_AND_ASSIGN(VnodeRef f, ResolvePath(*vfs, "/f"));
+  std::vector<uint8_t> buf(kBlockSize);
+  ASSERT_OK(f->Read(0, buf).status());  // read-only data token over block 0
+  std::vector<uint8_t> fresh(kBlockSize, 'n');
+  ASSERT_OK(f->Write(0, fresh).status());  // read+write data token, block 0 dirty
+
+  Token read_only;
+  Token read_write;
+  for (const Token& t : rig->server->tokens().TokensForHost(client->node())) {
+    if (t.fid != f->fid()) {
+      continue;
+    }
+    if ((t.types & kTokenDataWrite) != 0) {
+      read_write = t;
+    } else if ((t.types & kTokenDataRead) != 0) {
+      read_only = t;
+    }
+  }
+  ASSERT_NE(read_only.id, 0u);
+  ASSERT_NE(read_write.id, 0u);
+  ASSERT_TRUE(read_only.range.Overlaps(read_write.range));
+
+  EXPECT_EQ(SendRevocation(*rig, client->node(), read_only, kTokenDataRead,
+                           rig->server->NextStamp(f->fid())),
+            kRevokeReturned);
+  EXPECT_EQ(SendRevocation(*rig, client->node(), read_write, read_write.types,
+                           rig->server->NextStamp(f->fid())),
+            kRevokeReturned);
+
+  CacheManager* other = rig->NewClient("bob");
+  ASSERT_OK_AND_ASSIGN(VfsRef ovfs, other->MountVolume("home"));
+  ASSERT_OK_AND_ASSIGN(std::string back, ReadFileAt(*ovfs, "/f"));
+  ASSERT_EQ(back.size(), kBlockSize);
+  EXPECT_EQ(std::count(back.begin(), back.end(), 'n'), static_cast<ptrdiff_t>(kBlockSize));
 }
 
 TEST(RevocationOrderingTest, StaleStatusNeverOverwritesNewer) {
