@@ -15,12 +15,26 @@ uint64_t BlockEnd(uint64_t offset, size_t len) {
   return (offset + len + kBlockSize - 1) / kBlockSize;
 }
 
-// Adaptive RPC sizing: EWMA smoothing factor for the link estimates and the
-// pipelining headroom multiplied into the bandwidth-delay product (chunks a
-// little larger than one BDP keep the parallel sub-range pipe full across
-// scheduling jitter).
-constexpr double kEwmaAlpha = 0.25;
-constexpr double kAdaptiveHeadroom = 1.5;
+// Dirty runs the write-behind flusher pushes per file per pass; bounds one
+// pass's work so the daemon yields the per-file operation lock quickly.
+constexpr uint32_t kWriteBehindMaxRuns = 4;
+
+// The kFetchData request for bytes `range` of `fid`, asking for `want` token
+// types over `trange` (want == 0: a tokenless data read).
+Writer FetchDataRequest(const Fid& fid, const ByteRange& range, uint32_t want,
+                        const ByteRange& trange, bool token_only) {
+  Writer w;
+  PutFid(w, fid);
+  w.PutU64(range.start);
+  w.PutU32(static_cast<uint32_t>(range.end - range.start));
+  w.PutU32(want);
+  w.PutU64(trange.start);
+  w.PutU64(trange.end);
+  if (token_only) {
+    w.PutU8(kFetchFlagTokenOnly);
+  }
+  return w;
+}
 
 uint32_t OpenTokenFor(OpenMode mode) {
   switch (mode) {
@@ -571,15 +585,7 @@ Status CacheManager::StoreDirtyRangeLocked(CVnode& cv, const ByteRange& range,
                                 w, &cv.fid, /*allow_recovery=*/false));
     Reader r(payload);
     ASSIGN_OR_RETURN(SyncInfo sync, ReadSyncInfo(r));
-    for (uint64_t b = first; b <= last; ++b) {
-      cv.dirty_blocks.erase(b);
-    }
-    if (cv.dirty_blocks.empty()) {
-      cv.attr_dirty = false;  // the server has everything; its attr rules again
-    }
-    PersistMarkCleanLocked(cv, first, last, sync);
-    MergeSyncLocked(cv, sync);
-    JournalAttrLocked(cv);
+    ApplyStoreReplyLocked(cv, first, last, sync);
     MutexLock lock(mu_);
     if (revocation_path) {
       stats_.revocation_stores += 1;
@@ -588,6 +594,23 @@ Status CacheManager::StoreDirtyRangeLocked(CVnode& cv, const ByteRange& range,
     }
   }
   return Status::Ok();
+}
+
+void CacheManager::ApplyStoreReplyLocked(CVnode& cv, uint64_t first, uint64_t last,
+                                         const SyncInfo& sync) {
+  for (uint64_t b = first; b <= last; ++b) {
+    cv.dirty_blocks.erase(b);
+    if (persist_ != nullptr) {
+      // The store reply's attributes describe the file *after* our write
+      // landed: that is the version the (now clean) on-disk bytes belong to.
+      (void)persist_->MarkClean(cv.fid, b, sync.stamp, sync.attr.data_version, sync.attr.size);
+    }
+  }
+  if (cv.dirty_blocks.empty()) {
+    cv.attr_dirty = false;  // the server has everything; its attr rules again
+  }
+  MergeSyncLocked(cv, sync);
+  JournalAttrLocked(cv);
 }
 
 Result<BufferSlice> CacheManager::DirtySliceLocked(const CVnode& cv, uint64_t b, size_t n) {
@@ -714,18 +737,6 @@ Status CacheManager::StorePutLocked(CVnode& cv, uint64_t block, std::span<const 
     JournalAttrLocked(cv);
   }
   return s;
-}
-
-void CacheManager::PersistMarkCleanLocked(CVnode& cv, uint64_t first, uint64_t last,
-                                          const SyncInfo& sync) {
-  if (persist_ == nullptr) {
-    return;
-  }
-  // The store reply's attributes describe the file *after* our write landed:
-  // that is the version the (now clean) on-disk bytes belong to.
-  for (uint64_t b = first; b <= last; ++b) {
-    (void)persist_->MarkClean(cv.fid, b, sync.stamp, sync.attr.data_version, sync.attr.size);
-  }
 }
 
 void CacheManager::PersistClampSizeLocked(CVnode& cv, uint64_t new_size) {
@@ -1149,6 +1160,21 @@ void CacheManager::RunDataTasks(std::vector<std::function<void()>>& tasks) {
   }
 }
 
+std::vector<ByteRange> CacheManager::TransferChunks(uint64_t offset, uint64_t len) const {
+  // Chunks on a pool narrower than two would run one after another, paying a
+  // round trip each for no overlap: such a transfer stays one RPC.
+  uint64_t limit = options_.max_rpc_bytes;
+  if (limit == 0 || len <= limit || options_.prefetch_threads < 2) {
+    return {ByteRange{offset, offset + len}};
+  }
+  uint64_t chunk_bytes = std::max<uint64_t>(kBlockSize, limit / kBlockSize * kBlockSize);
+  std::vector<ByteRange> chunks;
+  for (uint64_t off = offset; off < offset + len; off += chunk_bytes) {
+    chunks.push_back(ByteRange{off, std::min(off + chunk_bytes, offset + len)});
+  }
+  return chunks;
+}
+
 Status CacheManager::FetchAndInstall(CVnode& cv, uint64_t offset, size_t len,
                                      uint32_t want_types,
                                      const std::function<void()>& after_install,
@@ -1156,115 +1182,80 @@ Status CacheManager::FetchAndInstall(CVnode& cv, uint64_t offset, size_t len,
   ByteRange trange = TokenRangeFor(offset, len);
   uint64_t aligned_off = BlockOf(offset) * kBlockSize;
   uint64_t aligned_len = BlockEnd(offset, len) * kBlockSize - aligned_off;
-  uint64_t limit = EffectiveMaxRpcBytes(cv.fid.volume);
   // A token-only fetch carries no data, so there is nothing to split.
-  bool split = !token_only && limit > 0 && aligned_len > limit && aligned_len > kBlockSize;
+  std::vector<ByteRange> chunks =
+      token_only ? std::vector<ByteRange>{ByteRange{aligned_off, aligned_off + aligned_len}}
+                 : TransferChunks(aligned_off, aligned_len);
+  if (chunks.size() > 1) {
+    MutexLock lock(mu_);
+    stats_.bulk_rpcs_split += 1;
+  }
 
   {
     OrderedLockGuard low(cv.low);
     cv.rpc_in_flight += 1;
   }
-
-  auto fetch_one = [&](uint64_t off, uint64_t clen, uint32_t want) -> Result<WireMessage> {
-    Writer w;
-    PutFid(w, cv.fid);
-    w.PutU64(off);
-    w.PutU32(static_cast<uint32_t>(clen));
-    w.PutU32(want);
-    w.PutU64(trange.start);
-    w.PutU64(trange.end);
-    if (token_only) {
-      w.PutU8(kFetchFlagTokenOnly);
-    }
+  // Only the first chunk asks for tokens; its token range covers the whole
+  // transfer.
+  auto fetch = [&](size_t i) -> Result<WireMessage> {
+    Writer w = FetchDataRequest(cv.fid, chunks[i], i == 0 ? want_types : 0, trange, token_only);
     InflightTracker inflight(this);
-    auto t0 = std::chrono::steady_clock::now();
     auto reply = CallVolume(cv.fid.volume, kFetchData, w);
-    if (reply.ok() && options_.adaptive_rpc_sizing && reply->total_bytes() >= kBlockSize) {
-      uint64_t wall_us = static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                                   std::chrono::steady_clock::now() - t0)
-                                                   .count());
-      auto server = ServerForVolume(cv.fid.volume, /*refresh=*/false);
-      if (server.ok()) {
-        NoteBandwidthSample(*server, reply->total_bytes(), wall_us);
-      }
-    }
     if (reply.ok() && token_only) {
       MutexLock lock(mu_);
       stats_.token_only_grants += 1;
     }
     return reply;
   };
-
-  Status result = Status::Ok();
-  std::vector<std::vector<uint64_t>> installed;
-  if (!split) {
-    // Legacy single-RPC path: one kFetchData covers data + token.
-    auto payload = fetch_one(aligned_off, aligned_len, want_types);
-
-    OrderedLockGuard low(cv.low);
-    cv.rpc_in_flight -= 1;
-    result = payload.ok() ? InstallFetchReplyLocked(cv, aligned_off, aligned_len, *payload,
-                                                    /*install_data=*/true,
-                                                    /*mark_prefetched=*/false, nullptr)
-                          : payload.status();
-    if (result.ok() && after_install != nullptr) {
-      after_install();
-    }
-    auto to_return = DrainPendingLocked(cv);
-    for (const auto& [id, types] : to_return) {
-      (void)ReturnToken(cv.fid, id, types);
-    }
-    return result;
-  }
-
-  // Parallel bulk fetch: block-aligned sub-ranges issued concurrently on the
-  // data pool and merged under `low` as each reply lands. The token chunk is
-  // a *barrier*: chunk 0 (whose token range covers the whole transfer) runs
-  // first and alone, so by the time the tokenless data chunks are on the wire
-  // the token is already ours — a conflicting write must revoke it first, and
-  // with rpc_in_flight held the revocation queues until DrainPendingLocked
-  // below, which invalidates whatever the data chunks installed. Issuing
-  // tokenless chunks concurrently with the grant would let another client's
-  // write land between a chunk's server-side read and the grant, leaving this
-  // client serving stale bytes under a valid token with no revocation ever
-  // aimed at it.
-  {
-    MutexLock lock(mu_);
-    stats_.bulk_rpcs_split += 1;
-  }
-  uint64_t chunk_bytes = std::max<uint64_t>(kBlockSize, limit / kBlockSize * kBlockSize);
-  struct Chunk {
-    uint64_t off;
-    uint64_t len;
-  };
-  std::vector<Chunk> chunks;
-  for (uint64_t off = aligned_off; off < aligned_off + aligned_len; off += chunk_bytes) {
-    chunks.push_back({off, std::min(chunk_bytes, aligned_off + aligned_len - off)});
-  }
   std::vector<Status> statuses(chunks.size(), Status::Ok());
-  installed.resize(chunks.size());
-  auto run_chunk = [&](size_t i, uint32_t want) {
-    const Chunk& c = chunks[i];
-    auto payload = fetch_one(c.off, c.len, want);
-    OrderedLockGuard low(cv.low);
-    statuses[i] = payload.ok()
-                      ? InstallFetchReplyLocked(cv, c.off, c.len, *payload,
-                                                /*install_data=*/true,
-                                                /*mark_prefetched=*/false, &installed[i])
-                      : payload.status();
+  std::vector<std::vector<uint64_t>> installed(chunks.size());
+  auto install = [&](size_t i, const Result<WireMessage>& reply) {
+    cv.low.AssertHeld();  // callers hold it; lambdas are analyzed alone
+    const ByteRange& c = chunks[i];
+    statuses[i] = reply.ok() ? InstallFetchReplyLocked(cv, c.start, c.end - c.start, *reply,
+                                                       /*install_data=*/true,
+                                                       /*mark_prefetched=*/false, &installed[i])
+                             : reply.status();
   };
-  run_chunk(0, want_types);
-  if (statuses[0].ok()) {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(chunks.size() - 1);
-    for (size_t i = 1; i < chunks.size(); ++i) {
-      tasks.push_back([&run_chunk, i] { run_chunk(i, 0); });
+
+  // The token chunk is a *barrier*: chunk 0 (whose token range covers the
+  // whole transfer) runs first and alone, so by the time the tokenless data
+  // chunks are on the wire the token is already ours — a conflicting write
+  // must revoke it first, and with rpc_in_flight held the revocation queues
+  // until DrainPendingLocked below, which invalidates whatever the data
+  // chunks installed. Issuing tokenless chunks concurrently with the grant
+  // would let another client's write land between a chunk's server-side read
+  // and the grant, leaving this client serving stale bytes under a valid
+  // token with no revocation ever aimed at it.
+  Result<WireMessage> token_reply = fetch(0);
+  if (chunks.size() > 1) {
+    {
+      OrderedLockGuard low(cv.low);
+      install(0, token_reply);
     }
-    RunDataTasks(tasks);
+    if (statuses[0].ok()) {
+      std::vector<std::function<void()>> tasks;
+      tasks.reserve(chunks.size() - 1);
+      for (size_t i = 1; i < chunks.size(); ++i) {
+        tasks.push_back([&, i] {
+          auto reply = fetch(i);
+          OrderedLockGuard low(cv.low);
+          install(i, reply);
+        });
+      }
+      RunDataTasks(tasks);
+    }
   }
 
   OrderedLockGuard low(cv.low);
   cv.rpc_in_flight -= 1;
+  if (chunks.size() == 1) {
+    // Install, after_install and the drain share one hold of `low`: once the
+    // grant is installed a revocation of it applies at once, and letting one
+    // in here would take away the data this very op was granted.
+    install(0, token_reply);
+  }
+  Status result = Status::Ok();
   for (const Status& s : statuses) {  // first error in chunk order wins
     if (!s.ok()) {
       result = s;
@@ -1273,7 +1264,7 @@ Status CacheManager::FetchAndInstall(CVnode& cv, uint64_t offset, size_t len,
   }
   if (!result.ok()) {
     // Roll back the blocks this op freshly installed (`installed` never lists
-    // blocks that were validly cached before the op), so a failed bulk fetch
+    // blocks that were validly cached before the op), so a failed fetch
     // leaves the cache exactly as it found it.
     for (const auto& blocks : installed) {
       for (uint64_t b : blocks) {
@@ -1385,14 +1376,9 @@ void CacheManager::PrefetchWindow(CVnodeRef cv, Prefetcher::Window win, uint64_t
     prefetcher_->WindowDone(cv->fid, win.start_block);
     return;
   }
-  ByteRange trange = TokenRangeFor(off, len);
-  Writer w;
-  PutFid(w, cv->fid);
-  w.PutU64(off);
-  w.PutU32(static_cast<uint32_t>(len));
-  w.PutU32(kTokenDataRead | kTokenStatusRead);
-  w.PutU64(trange.start);
-  w.PutU64(trange.end);
+  Writer w = FetchDataRequest(cv->fid, ByteRange{off, off + len},
+                              kTokenDataRead | kTokenStatusRead, TokenRangeFor(off, len),
+                              /*token_only=*/false);
   auto payload = [&] {
     InflightTracker inflight(this);
     return CallVolume(cv->fid.volume, kFetchData, w);
@@ -1617,7 +1603,6 @@ Result<bool> CacheManager::PushOneDirtyRunHighLocked(CVnode& cv, bool background
   uint64_t offset = 0;
   uint64_t run_len = 0;
   std::vector<BufferSlice> parts;  // one per block of the run, in block order
-  std::vector<uint64_t> blocks;
   for (;;) {
     OrderedLockGuard low(cv.low);
     if (cv.dirty_lost) {
@@ -1653,7 +1638,6 @@ Result<bool> CacheManager::PushOneDirtyRunHighLocked(CVnode& cv, bool background
       size_t n = std::min<size_t>(kBlockSize, run_len - boff);
       ASSIGN_OR_RETURN(BufferSlice slice, DirtySliceLocked(cv, b, n));
       parts.push_back(std::move(slice));
-      blocks.push_back(b);
     }
     break;
   }
@@ -1664,225 +1648,103 @@ Result<bool> CacheManager::PushOneDirtyRunHighLocked(CVnode& cv, bool background
       stats_.bytes_copied += run_len;  // GetSlice's adapter copied out of the store
     }
   }
-  // Adaptive sizing: goodput samples from timed store RPCs feed the link
-  // estimate the split decision below consults.
-  auto note_bw = [&](uint64_t bytes, std::chrono::steady_clock::time_point t0) {
-    if (!options_.adaptive_rpc_sizing || bytes < kBlockSize) {
-      return;
-    }
-    uint64_t wall_us = static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                                 std::chrono::steady_clock::now() - t0)
-                                                 .count());
-    auto server = ServerForVolume(cv.fid.volume, /*refresh=*/false);
-    if (server.ok()) {
-      NoteBandwidthSample(*server, bytes, wall_us);
-    }
-  };
-  uint64_t limit = EffectiveMaxRpcBytes(cv.fid.volume);
-  bool split = limit > 0 && run_len > limit && run_len > kBlockSize;
-  Status store_result = Status::Ok();
-  if (!split) {
-    // Legacy single-RPC path: the whole run in one kStoreData, the block
-    // slices riding out-of-band.
+  // The run drains as block-aligned chunk RPCs, concurrent when it splits.
+  // Each chunk is all-or-retry — a successful chunk's blocks come off the
+  // dirty set immediately (the server has them), and the sync infos merge
+  // correctly in any completion order under the stamp rule.
+  std::vector<ByteRange> chunks = TransferChunks(offset, run_len);
+  if (chunks.size() > 1) {
+    MutexLock lock(mu_);
+    stats_.bulk_rpcs_split += 1;
+  }
+  std::vector<Status> statuses(chunks.size(), Status::Ok());
+  auto run_chunk = [&](size_t i) {
+    const ByteRange& c = chunks[i];
+    uint64_t first = c.start / kBlockSize;
+    uint64_t last = (c.end - 1) / kBlockSize;
     Writer w;
     PutFid(w, cv.fid);
-    w.PutU64(offset);
-    w.PutU32(static_cast<uint32_t>(parts.size()));
-    for (const BufferSlice& part : parts) {
-      w.PutSlice(part);
+    w.PutU64(c.start);
+    w.PutU32(static_cast<uint32_t>(last - first + 1));
+    for (uint64_t b = first; b <= last; ++b) {
+      w.PutSlice(parts[b - offset / kBlockSize]);
     }
     auto payload = [&] {
       InflightTracker inflight(this);
-      auto t0 = std::chrono::steady_clock::now();
-      auto reply = CallVolume(cv.fid.volume, kStoreData, w, &cv.fid);
-      if (reply.ok()) {
-        note_bw(run_len, t0);
-      }
-      return reply;
+      return CallVolume(cv.fid.volume, kStoreData, w, &cv.fid);
     }();
-    bool pushed_by_revocation = false;
-    for (int attempt = 0; attempt < 8 && payload.code() == ErrorCode::kConflict; ++attempt) {
-      // Our write token is gone: the server restarted, or a peer's grant
-      // revoked it while this store was on the wire. In the latter case the
-      // revocation handler's pre-authorized store-back may have pushed this
-      // very run already — if nothing in the run is dirty any more, the data
-      // is at the server and there is nothing left to store. Otherwise
-      // re-acquire and retry (bounded, like Read/Write's grant loops, so a
-      // storm of reader grants cannot starve the store on one bounce); dirty
-      // blocks are immune to the refetch, so no local data is lost.
-      {
-        OrderedLockGuard low(cv.low);
-        bool still_dirty = false;
-        for (uint64_t b : blocks) {
-          if (cv.dirty_blocks.count(b) != 0) {
-            still_dirty = true;
-            break;
-          }
-        }
-        pushed_by_revocation = !still_dirty;
-      }
-      if (pushed_by_revocation) {
-        break;
-      }
-      Status refetch = FetchAndInstall(
-          cv, offset, run_len,
-          kTokenDataRead | kTokenDataWrite | kTokenStatusRead | kTokenStatusWrite);
-      if (!refetch.ok()) {
-        if (refetch.code() == ErrorCode::kTimedOut) {
-          continue;  // the grant lost a deferred-revocation cycle; retry
-        }
-        payload = refetch;
-        break;
-      }
-      InflightTracker inflight(this);
-      payload = CallVolume(cv.fid.volume, kStoreData, w, &cv.fid);
+    if (!payload.ok()) {
+      statuses[i] = payload.status();
+      return;
     }
-    if (pushed_by_revocation) {
-      store_result = Status::Ok();
-    } else if (payload.ok()) {
-      Reader r(*payload);
-      auto sync = ReadSyncInfo(r);
-      if (!sync.ok()) {
-        return sync.status();
-      }
-      OrderedLockGuard low(cv.low);
-      for (uint64_t b : blocks) {
-        cv.dirty_blocks.erase(b);
-      }
-      if (cv.dirty_blocks.empty()) {
-        cv.attr_dirty = false;
-      }
-      PersistMarkCleanLocked(cv, blocks.front(), blocks.back(), *sync);
-      MergeSyncLocked(cv, *sync);
-      JournalAttrLocked(cv);
-      store_result = Status::Ok();
-    } else {
-      store_result = payload.status();
+    Reader r(*payload);
+    auto sync = ReadSyncInfo(r);
+    if (!sync.ok()) {
+      statuses[i] = sync.status();
+      return;
     }
-  } else {
-    // Parallel bulk store: the run drains as concurrent block-aligned chunk
-    // RPCs. Each chunk is all-or-retry — a successful chunk's blocks come off
-    // the dirty set immediately (the server has them), and the sync infos
-    // merge correctly in any completion order under the stamp rule.
+    OrderedLockGuard low(cv.low);
+    ApplyStoreReplyLocked(cv, first, last, *sync);
+    statuses[i] = Status::Ok();
+  };
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(chunks.size());
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    tasks.push_back([&run_chunk, i] { run_chunk(i); });
+  }
+  RunDataTasks(tasks);
+  for (int attempt = 0; attempt < 8; ++attempt) {
+    // Our write token is gone: the server restarted, or a peer's grant
+    // revoked it while a chunk was on the wire. In the latter case the
+    // revocation handler's pre-authorized store-back may have pushed the
+    // chunk already — a conflicted chunk whose blocks went clean in the
+    // meantime is at the server and counts as stored. The rest re-acquire
+    // the write tokens in one refetch covering the whole run and retry,
+    // bounded like Read/Write's grant loops so a storm of reader grants
+    // cannot starve the store on one bounce; dirty blocks are immune to the
+    // refetch, so no local data is lost.
+    std::vector<size_t> retry_idx;
     {
-      MutexLock lock(mu_);
-      stats_.bulk_rpcs_split += 1;
-    }
-    uint64_t chunk_bytes = std::max<uint64_t>(kBlockSize, limit / kBlockSize * kBlockSize);
-    struct Chunk {
-      size_t pos;
-      size_t len;
-    };
-    std::vector<Chunk> chunks;
-    for (size_t pos = 0; pos < run_len; pos += chunk_bytes) {
-      chunks.push_back({pos, std::min<size_t>(chunk_bytes, run_len - pos)});
-    }
-    std::vector<Status> statuses(chunks.size(), Status::Ok());
-    auto run_chunk = [&](size_t i) {
-      const Chunk& c = chunks[i];
-      uint64_t coff = offset + c.pos;
-      Writer w;
-      PutFid(w, cv.fid);
-      w.PutU64(coff);
-      w.PutU32(static_cast<uint32_t>((c.len + kBlockSize - 1) / kBlockSize));
-      for (size_t j = c.pos / kBlockSize; j * kBlockSize < c.pos + c.len; ++j) {
-        w.PutSlice(parts[j]);
-      }
-      auto payload = [&] {
-        InflightTracker inflight(this);
-        auto t0 = std::chrono::steady_clock::now();
-        auto reply = CallVolume(cv.fid.volume, kStoreData, w, &cv.fid);
-        if (reply.ok()) {
-          note_bw(c.len, t0);
-        }
-        return reply;
-      }();
-      if (!payload.ok()) {
-        statuses[i] = payload.status();
-        return;
-      }
-      Reader r(*payload);
-      auto sync = ReadSyncInfo(r);
-      if (!sync.ok()) {
-        statuses[i] = sync.status();
-        return;
-      }
       OrderedLockGuard low(cv.low);
-      for (uint64_t b = coff / kBlockSize; b * kBlockSize < coff + c.len; ++b) {
-        cv.dirty_blocks.erase(b);
-      }
-      if (cv.dirty_blocks.empty()) {
-        cv.attr_dirty = false;
-      }
-      PersistMarkCleanLocked(cv, coff / kBlockSize, (coff + c.len - 1) / kBlockSize, *sync);
-      MergeSyncLocked(cv, *sync);
-      JournalAttrLocked(cv);
-      statuses[i] = Status::Ok();
-    };
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(chunks.size());
-    for (size_t i = 0; i < chunks.size(); ++i) {
-      tasks.push_back([&run_chunk, i] { run_chunk(i); });
-    }
-    RunDataTasks(tasks);
-    for (int attempt = 0; attempt < 8; ++attempt) {
-      // Conflicted chunks whose blocks went clean in the meantime were pushed
-      // by a concurrent revocation store-back — the server has that data, so
-      // they count as stored. For the rest, one token-refetch round covering
-      // the whole run, then retry only the chunks that still need it (the
-      // bulk analogue of the single-RPC bounded conflict loop above).
-      {
-        OrderedLockGuard low(cv.low);
-        for (size_t i = 0; i < chunks.size(); ++i) {
-          if (statuses[i].code() != ErrorCode::kConflict) {
-            continue;
-          }
-          uint64_t coff = offset + chunks[i].pos;
-          bool still_dirty = false;
-          for (uint64_t b = coff / kBlockSize; b * kBlockSize < coff + chunks[i].len; ++b) {
-            if (cv.dirty_blocks.count(b) != 0) {
-              still_dirty = true;
-              break;
-            }
-          }
-          if (!still_dirty) {
-            statuses[i] = Status::Ok();
-          }
-        }
-      }
-      std::vector<size_t> retry_idx;
       for (size_t i = 0; i < chunks.size(); ++i) {
-        if (statuses[i].code() == ErrorCode::kConflict) {
+        if (statuses[i].code() != ErrorCode::kConflict) {
+          continue;
+        }
+        auto dirty = cv.dirty_blocks.lower_bound(chunks[i].start / kBlockSize);
+        if (dirty != cv.dirty_blocks.end() && *dirty * kBlockSize < chunks[i].end) {
           retry_idx.push_back(i);
+        } else {
+          statuses[i] = Status::Ok();
         }
       }
-      if (retry_idx.empty()) {
-        break;
-      }
-      Status refetch = FetchAndInstall(
-          cv, offset, run_len,
-          kTokenDataRead | kTokenDataWrite | kTokenStatusRead | kTokenStatusWrite);
-      if (!refetch.ok()) {
-        if (refetch.code() == ErrorCode::kTimedOut) {
-          continue;  // the grant lost a deferred-revocation cycle; retry
-        }
-        for (size_t i : retry_idx) {
-          statuses[i] = refetch;
-        }
-        break;
-      }
-      std::vector<std::function<void()>> retries;
-      retries.reserve(retry_idx.size());
-      for (size_t i : retry_idx) {
-        retries.push_back([&run_chunk, i] { run_chunk(i); });
-      }
-      RunDataTasks(retries);
     }
-    for (const Status& s : statuses) {  // first error in chunk order wins
-      if (!s.ok()) {
-        store_result = s;
-        break;
+    if (retry_idx.empty()) {
+      break;
+    }
+    Status refetch = FetchAndInstall(
+        cv, offset, run_len,
+        kTokenDataRead | kTokenDataWrite | kTokenStatusRead | kTokenStatusWrite);
+    if (!refetch.ok()) {
+      if (refetch.code() == ErrorCode::kTimedOut) {
+        continue;  // the grant lost a deferred-revocation cycle; retry
       }
+      for (size_t i : retry_idx) {
+        statuses[i] = refetch;
+      }
+      break;
+    }
+    std::vector<std::function<void()>> retries;
+    retries.reserve(retry_idx.size());
+    for (size_t i : retry_idx) {
+      retries.push_back([&run_chunk, i] { run_chunk(i); });
+    }
+    RunDataTasks(retries);
+  }
+  Status store_result = Status::Ok();
+  for (const Status& s : statuses) {  // first error in chunk order wins
+    if (!s.ok()) {
+      store_result = s;
+      break;
     }
   }
   if (store_result.code() == ErrorCode::kStale) {
@@ -2009,7 +1871,7 @@ void CacheManager::WriteBehindPass() {
       continue;
     }
     bool clean = false;
-    for (uint32_t run = 0; run < options_.write_behind_max_runs; ++run) {
+    for (uint32_t run = 0; run < kWriteBehindMaxRuns; ++run) {
       auto pushed = PushOneDirtyRunHighLocked(*cv, /*background=*/true);
       // Errors (server down, volume moving, stale file) are left for the
       // foreground paths to surface; the flusher just stops this pass.
@@ -2062,31 +1924,20 @@ void CacheManager::KeepAlivePass() {
   }
   // Pipelined pings: issue one kKeepAlive per server before waiting for any
   // reply, so a slow (or dead) server does not delay the others' renewals.
-  // Each ping is timed issue-to-reply: a keep-alive carries no payload, so
-  // the elapsed wall time is a clean RTT sample for adaptive RPC sizing.
   std::vector<Network::PendingCall> pings;
-  std::vector<std::chrono::steady_clock::time_point> issued;
   pings.reserve(servers.size());
-  issued.reserve(servers.size());
   for (NodeId server : servers) {
     Writer w;
     {
       MutexLock lock(mu_);
       stats_.keepalives_sent += 1;
     }
-    issued.push_back(std::chrono::steady_clock::now());
     pings.push_back(network_.CallAsync(options_.node, server, kKeepAlive, w.data(),
                                        ticket_.principal, EpochFor(server)));
   }
   for (size_t i = 0; i < servers.size(); ++i) {
     NodeId server = servers[i];
     auto payload = UnwrapReply(pings[i].Wait());
-    if (payload.ok()) {
-      NoteRttSample(server,
-                    static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                              std::chrono::steady_clock::now() - issued[i])
-                                              .count()));
-    }
     if (!payload.ok()) {
       if (payload.code() == ErrorCode::kAuthFailed ||
           payload.code() == ErrorCode::kStaleEpoch) {
@@ -2125,61 +1976,6 @@ void CacheManager::MaybeCheckpointJournal() {
     MutexLock lock(mu_);
     stats_.journal_checkpoints += 1;
   }
-}
-
-// --- adaptive RPC sizing ---
-
-uint64_t CacheManager::EffectiveMaxRpcBytes(uint64_t volume) {
-  if (!options_.adaptive_rpc_sizing) {
-    return options_.max_rpc_bytes;
-  }
-  auto loc = vldb_.Peek(volume);
-  if (!loc.has_value()) {
-    return options_.max_rpc_bytes;
-  }
-  MutexLock lock(mu_);
-  auto it = link_estimates_.find(loc->server);
-  if (it == link_estimates_.end() || it->second.rtt_us <= 0 ||
-      it->second.bytes_per_sec <= 0) {
-    return options_.max_rpc_bytes;  // no estimate yet: the static limit rules
-  }
-  // Chunk near the link's bandwidth-delay product (goodput x RTT), with
-  // headroom so the parallel sub-range RPCs keep the pipe full; round to
-  // blocks and clamp to [one block, the static cap].
-  double bdp = it->second.bytes_per_sec * (it->second.rtt_us / 1e6);
-  uint64_t limit = static_cast<uint64_t>(bdp * kAdaptiveHeadroom);
-  limit = std::max<uint64_t>(limit / kBlockSize * kBlockSize, kBlockSize);
-  if (options_.max_rpc_bytes > 0) {
-    limit = std::min<uint64_t>(limit, options_.max_rpc_bytes);
-  }
-  if (limit != it->second.last_limit) {
-    it->second.last_limit = limit;
-    stats_.adaptive_resizes += 1;
-  }
-  return limit;
-}
-
-void CacheManager::NoteRttSample(NodeId server, uint64_t rtt_us) {
-  if (!options_.adaptive_rpc_sizing || rtt_us == 0) {
-    return;
-  }
-  MutexLock lock(mu_);
-  LinkEstimate& e = link_estimates_[server];
-  double sample = static_cast<double>(rtt_us);
-  e.rtt_us = e.rtt_us == 0 ? sample : e.rtt_us + kEwmaAlpha * (sample - e.rtt_us);
-}
-
-void CacheManager::NoteBandwidthSample(NodeId server, uint64_t bytes, uint64_t wall_us) {
-  if (!options_.adaptive_rpc_sizing || bytes == 0 || wall_us == 0) {
-    return;
-  }
-  MutexLock lock(mu_);
-  LinkEstimate& e = link_estimates_[server];
-  // bytes / wall includes the RTT legs, so the sample understates the link's
-  // raw throughput — conservative in the right direction for chunk sizing.
-  double sample = static_cast<double>(bytes) / (static_cast<double>(wall_us) / 1e6);
-  e.bytes_per_sec =
-      e.bytes_per_sec == 0 ? sample : e.bytes_per_sec + kEwmaAlpha * (sample - e.bytes_per_sec);
 }
 
 Status CacheManager::SyncAll() {

@@ -95,35 +95,25 @@ class CacheManager : public RpcHandler {
     // blocks are evicted LRU when exceeded (dirty blocks are never evicted —
     // they must be stored back first, which revocations and fsync do).
     uint64_t max_cached_blocks = 4096;
-    // On a detected sequential read, fetch this many extra blocks (and the
-    // matching token range) ahead of the requested data. 0 disables. Only
-    // used by the synchronous data path (prefetch_threads == 0): the
-    // foreground fetch is inflated by this much, so the reader pays the
-    // latency and byte cost of its own readahead.
-    uint32_t readahead_blocks = 8;
-    // Background readahead daemon width. 0 (the default) keeps the legacy
-    // synchronous data path above; > 0 moves readahead off the critical
+    // Background readahead daemon width. 0 (the default) fetches readahead
+    // synchronously: a sequential miss inflates the foreground fetch (and its
+    // token range) by readahead_min_blocks, so the reader pays the latency and
+    // byte cost of its own readahead. > 0 moves readahead off the critical
     // path: Read fetches only the asked-for range and hands a window
     // descriptor to the prefetch pool, which fetches ahead with a doubling
     // window while the reader consumes what is already cached.
     size_t prefetch_threads = 0;
-    // Doubling-window bounds (blocks) for background readahead: the window
-    // starts at min on the first confirmed sequential read and doubles per
-    // confirmed window up to max.
-    uint32_t readahead_min_blocks = 4;
+    // Blocks read ahead once a stream is confirmed sequential: the synchronous
+    // inflation (0 disables it), and the background window's starting size
+    // (clamped to >= 1), which doubles per confirmed window up to max.
+    uint32_t readahead_min_blocks = 8;
     uint32_t readahead_max_blocks = 64;
     // Parallel bulk transfer: a fetch or store larger than this is split
     // into block-aligned sub-ranges issued concurrently on the prefetch pool
-    // and merged under the cvnode low lock. 0 (the default) = unlimited, the
-    // legacy one-RPC-per-transfer behaviour.
+    // and merged under the cvnode low lock. Splitting needs a pool that can
+    // run two sub-ranges at once (prefetch_threads >= 2); otherwise, and at
+    // 0 (the default, unlimited), every transfer is one RPC.
     uint64_t max_rpc_bytes = 0;
-    // Adaptive RPC sizing: size bulk-transfer chunks near each server link's
-    // measured bandwidth-delay product instead of the static max_rpc_bytes
-    // (which stays as the upper cap). RTT comes from timed keep-alive pings,
-    // throughput from an EWMA over data RPCs — so the keep-alive daemon must
-    // be running for the estimate to form; until both samples exist the
-    // static limit applies. Off by default.
-    bool adaptive_rpc_sizing = false;
     // Background write-behind: a flusher daemon pushes dirty blocks toward
     // the server during idle time, so the writeback a token revocation must
     // perform shrinks to the residual delta. Off by default — callers that
@@ -133,9 +123,6 @@ class CacheManager : public RpcHandler {
     bool write_behind = false;
     // Flusher pass period while idle.
     uint32_t write_behind_interval_ms = 50;
-    // Dirty runs pushed per file per pass; bounds one pass's work so the
-    // daemon yields the per-file operation lock quickly.
-    uint32_t write_behind_max_runs = 4;
     // Age threshold (the classic 30-second rule): the flusher only pushes
     // files whose data has been dirty at least this long, so short-lived
     // scratch data never hits the wire. 0 (the default) flushes immediately.
@@ -216,8 +203,6 @@ class CacheManager : public RpcHandler {
     // Whole-range overwrites that took the token-only kFetchData grant
     // instead of fetching bytes they were about to clobber.
     uint64_t token_only_grants = 0;
-    // Adaptive RPC sizing: recomputations that changed the effective limit.
-    uint64_t adaptive_resizes = 0;
   };
 
   CacheManager(Network& network, std::vector<NodeId> vldb_nodes, Ticket ticket,
@@ -375,6 +360,11 @@ class CacheManager : public RpcHandler {
       REQUIRES(cv.low);
   Status StoreDirtyRangeLocked(CVnode& cv, const ByteRange& range, bool revocation_path)
       REQUIRES(cv.low);
+  // A store of blocks [first, last] succeeded: they leave the dirty set (and
+  // go clean on the persistent medium), the server's attributes rule again
+  // once nothing is dirty, and the reply's sync info merges and journals.
+  void ApplyStoreReplyLocked(CVnode& cv, uint64_t first, uint64_t last, const SyncInfo& sync)
+      REQUIRES(cv.low);
   // The first `n` bytes of dirty block `b`, for a store to the server. A
   // store that lost them yields kIoError: pushing anything else would write
   // bytes nobody wrote.
@@ -396,7 +386,7 @@ class CacheManager : public RpcHandler {
   void FlusherLoop();
   // One idle-time pass: walks the dirty list oldest-first (the 30-second-rule
   // ordering) and, for each file whose operation lock is free right now,
-  // pushes up to write_behind_max_runs runs.
+  // pushes a bounded number of runs.
   void WriteBehindPass();
   // Records `fid` on the dirty list; keeps the earliest-dirtied timestamp.
   void NoteDirty(const Fid& fid);
@@ -417,12 +407,11 @@ class CacheManager : public RpcHandler {
   // operation that requested the token is entitled to complete under it —
   // otherwise a storm of conflicting peers livelocks the requester. (Being a
   // lambda, its body must AssertHeld cv.low rather than rely on REQUIRES.)
-  // Ranges larger than Options::max_rpc_bytes are split into block-aligned
-  // sub-range RPCs merged under `low`. The token-carrying first chunk is a
-  // barrier — it completes before the tokenless data chunks go out
-  // concurrently, so every data chunk reads under a token conflicting
-  // writers must revoke (first error by chunk order wins; a failed op
-  // uninstalls the blocks it freshly installed).
+  // The range moves in the chunks TransferChunks picks, merged under `low`.
+  // The token-carrying first chunk is a barrier — it completes before the
+  // tokenless data chunks go out concurrently, so every data chunk reads
+  // under a token conflicting writers must revoke. The first error by chunk
+  // order wins, and a failed op uninstalls the blocks it freshly installed.
   // `token_only` asks the server for the grant + sync info without the data
   // bytes (kFetchFlagTokenOnly): used by whole-range overwrites, which would
   // clobber every byte they fetched. A token-only fetch is never split.
@@ -446,6 +435,10 @@ class CacheManager : public RpcHandler {
   // exists, inline otherwise. Tasks must be independent (no task may wait on
   // another or submit to the pool).
   void RunDataTasks(std::vector<std::function<void()>>& tasks);
+  // Splits the transfer [offset, offset + len) into the block-aligned chunks
+  // it moves in: sub-ranges of at most Options::max_rpc_bytes when the pool
+  // can run two of them at once, else the whole range as one chunk.
+  std::vector<ByteRange> TransferChunks(uint64_t offset, uint64_t len) const;
   // Called from DfsVnode::Read after a successful read (no cvnode locks
   // held): feeds the sequential-stream detector and, on a confirmed stream,
   // claims the next window and hands it to the prefetch pool.
@@ -457,8 +450,8 @@ class CacheManager : public RpcHandler {
   // (evicted or invalidated before any foreground read consumed it).
   void NotePrefetchDropLocked(CVnode& cv, uint64_t block) REQUIRES(cv.low);
 
-  // RAII high-water accounting around every data RPC (fetch/store, single or
-  // chunked, foreground or background).
+  // RAII high-water accounting around every data RPC (fetch or store,
+  // foreground or background).
   class InflightTracker {
    public:
     explicit InflightTracker(CacheManager* cm) : cm_(cm) {
@@ -477,24 +470,6 @@ class CacheManager : public RpcHandler {
   ByteRange TokenRangeFor(uint64_t offset, size_t len) const;
   Status EnsureStatus(CVnode& cv) REQUIRES(cv.high) EXCLUDES(cv.low);
 
-  // --- adaptive RPC sizing ---
-  // Per-server link estimate: RTT from timed keep-alive pings, goodput from
-  // data-RPC samples, both EWMAs (alpha 0.25). The effective chunk limit is
-  // the bandwidth-delay product times a pipelining headroom factor, rounded
-  // to blocks and clamped to [kBlockSize, Options::max_rpc_bytes].
-  struct LinkEstimate {
-    double rtt_us = 0;
-    double bytes_per_sec = 0;
-    uint64_t last_limit = 0;
-  };
-  // The bulk-transfer split limit for the server owning `volume`:
-  // Options::max_rpc_bytes unless adaptive sizing is on and both estimates
-  // exist. Never issues an RPC beyond the location-cache lookup the data
-  // call itself would make.
-  uint64_t EffectiveMaxRpcBytes(uint64_t volume);
-  void NoteRttSample(NodeId server, uint64_t rtt_us);
-  void NoteBandwidthSample(NodeId server, uint64_t bytes, uint64_t wall_us);
-
   Status ReturnToken(const Fid& fid, TokenId id, uint32_t types);
 
   // --- persistent cache hooks (all no-ops when persist_ == nullptr) ---
@@ -504,9 +479,6 @@ class CacheManager : public RpcHandler {
   // blocks it is the *base* version they were written against, so Recover()
   // resumes a pre-crash push only if the server has not moved past it.
   Status StorePutLocked(CVnode& cv, uint64_t block, std::span<const uint8_t> data, bool dirty)
-      REQUIRES(cv.low);
-  // Records that blocks [first, last] reached the server (store-back done).
-  void PersistMarkCleanLocked(CVnode& cv, uint64_t first, uint64_t last, const SyncInfo& sync)
       REQUIRES(cv.low);
   // Truncate-awareness: clamps the persisted file_size of every surviving
   // entry of cv's file to `new_size`, so a warm reboot cannot re-extend the
@@ -568,8 +540,6 @@ class CacheManager : public RpcHandler {
   // Write-behind dirty list: fid -> steady-clock ms when it first went dirty.
   // The flusher walks this instead of scanning every cvnode.
   std::unordered_map<Fid, uint64_t, FidHash> dirty_since_ GUARDED_BY(mu_);
-  // Adaptive RPC sizing estimates, one per connected server.
-  std::map<NodeId, LinkEstimate> link_estimates_ GUARDED_BY(mu_);
   uint64_t next_tag_ GUARDED_BY(mu_) = 1;
   Stats stats_ GUARDED_BY(mu_);
   // Nanoseconds (network virtual clock) of the last successful server
@@ -666,6 +636,15 @@ class DfsVnode : public Vnode {
 
  private:
   friend class DfsVfs;
+  // The one read path behind Read and ReadSlices: serves [offset, offset +
+  // len) from the cache, fetching under tokens on a miss, and hands each
+  // block's cached slice to `visit(block, from, n, pos)` — bytes [from, from
+  // + n) of the block are result bytes [pos, pos + n). Returns the byte
+  // count. `copies` says the visitor copies the bytes out (charged to
+  // bytes_copied); otherwise only a store that cannot share slices is.
+  template <typename Visit>
+  Result<size_t> ReadBlocks(uint64_t offset, size_t len, bool copies, Visit&& visit);
+
   CacheManager* cm_;
   Fid fid_;
 };

@@ -132,15 +132,18 @@ Status DfsVnode::SetAttr(const AttrUpdate& update) {
   return Status::Ok();
 }
 
-Result<size_t> DfsVnode::Read(uint64_t offset, std::span<uint8_t> out) {
+template <typename Visit>
+Result<size_t> DfsVnode::ReadBlocks(uint64_t offset, size_t len, bool copies, Visit&& visit) {
   auto cv = cm_->GetCVnode(fid_);
   cm_->MaybeEvict();  // before any cvnode lock: eviction locks victims itself
   OrderedLockGuard high(cv->high);
 
-  // Requires cv->low to be held by the caller.
+  // Requires cv->low to be held by the caller. The blocks come straight out
+  // of the store's shared regions; the slices stay valid past eviction and
+  // overwrite — regions are immutable and writers publish new ones.
   auto try_local_locked = [&]() -> Result<size_t> {
     cv->low.AssertHeld();  // callers hold it; lambdas are analyzed alone
-    ByteRange want{offset, offset + out.size()};
+    ByteRange want{offset, offset + len};
     if (!cv->attr_valid ||
         !cm_->HasTokenLocked(*cv, kTokenStatusRead | kTokenDataRead, want)) {
       return Status(ErrorCode::kNotFound, "tokens missing");
@@ -148,7 +151,7 @@ Result<size_t> DfsVnode::Read(uint64_t offset, std::span<uint8_t> out) {
     if (offset >= cv->attr.size) {
       return size_t{0};
     }
-    size_t n = static_cast<size_t>(std::min<uint64_t>(out.size(), cv->attr.size - offset));
+    size_t n = static_cast<size_t>(std::min<uint64_t>(len, cv->attr.size - offset));
     for (uint64_t b = BlockOf(offset); b < BlockEnd(offset, n); ++b) {
       if (cv->cached_blocks.count(b) == 0) {
         return Status(ErrorCode::kNotFound, "block missing");
@@ -157,15 +160,12 @@ Result<size_t> DfsVnode::Read(uint64_t offset, std::span<uint8_t> out) {
     bool from_prefetch = false;
     for (uint64_t b = BlockOf(offset); b < BlockEnd(offset, n); ++b) {
       uint64_t bstart = b * kBlockSize;
-      uint64_t copy_from = std::max(offset, bstart);
-      uint64_t copy_to = std::min(offset + n, bstart + kBlockSize);
-      // One copy, straight from the store's shared region into the caller's
-      // buffer — the span interface's mandatory copy-out (ReadSlices avoids
-      // even this one).
+      uint64_t from = std::max(offset, bstart);
+      uint64_t to = std::min(offset + n, bstart + kBlockSize);
       ASSIGN_OR_RETURN(BufferSlice block,
-                       cm_->store_->GetSlice(fid_, b, static_cast<size_t>(copy_to - bstart)));
-      std::memcpy(out.data() + (copy_from - offset), block.data() + (copy_from - bstart),
-                  copy_to - copy_from);
+                       cm_->store_->GetSlice(fid_, b, static_cast<size_t>(to - bstart)));
+      visit(block, static_cast<size_t>(from - bstart), static_cast<size_t>(to - from),
+            static_cast<size_t>(from - offset));
       from_prefetch = cv->prefetched_blocks.erase(b) != 0 || from_prefetch;
     }
     {
@@ -173,7 +173,9 @@ Result<size_t> DfsVnode::Read(uint64_t offset, std::span<uint8_t> out) {
       if (from_prefetch) {
         cm_->stats_.prefetch_hits += 1;
       }
-      cm_->stats_.bytes_copied += n;
+      if (copies || !cm_->store_->SharesSlices()) {
+        cm_->stats_.bytes_copied += n;
+      }
     }
     cv->last_read_end = offset + n;
     return n;
@@ -202,14 +204,14 @@ Result<size_t> DfsVnode::Read(uint64_t offset, std::span<uint8_t> out) {
     cm_->stats_.data_cache_misses += 1;
   }
   // Sequential reads fetch ahead. With the background prefetcher off, the
-  // legacy synchronous path inflates the foreground fetch (and its token
+  // synchronous configuration inflates the foreground fetch (and its token
   // range) past the asked-for bytes so the next reads are local; with it on,
   // the fetch stays exact and the readahead runs off the critical path.
-  size_t fetch_len = std::max<size_t>(out.size(), 1);
-  if (!cm_->prefetcher_->enabled() && cm_->options_.readahead_blocks > 0 && sequential) {
-    fetch_len += static_cast<size_t>(cm_->options_.readahead_blocks) * kBlockSize;
+  size_t fetch_len = std::max<size_t>(len, 1);
+  if (!cm_->prefetcher_->enabled() && sequential) {
+    fetch_len += static_cast<size_t>(cm_->options_.readahead_min_blocks) * kBlockSize;
   }
-  // Fetch and copy out *while processing the reply*: the grant is serialized
+  // Fetch and serve *while processing the reply*: the grant is serialized
   // before any queued revocation (Section 6.3), so the read completes under
   // it even when conflicting writers are hammering the file.
   Result<size_t> applied = Status(ErrorCode::kConflict, "read raced with revocations");
@@ -233,106 +235,30 @@ Result<size_t> DfsVnode::Read(uint64_t offset, std::span<uint8_t> out) {
   return applied;
 }
 
+Result<size_t> DfsVnode::Read(uint64_t offset, std::span<uint8_t> out) {
+  // One copy, straight from the store's shared region into the caller's
+  // buffer — the span interface's mandatory copy-out.
+  return ReadBlocks(offset, out.size(), /*copies=*/true,
+                    [&](const BufferSlice& block, size_t from, size_t n, size_t pos) {
+                      std::memcpy(out.data() + pos, block.data() + from, n);
+                    });
+}
+
 Result<std::vector<BufferSlice>> DfsVnode::ReadSlices(uint64_t offset, size_t len) {
-  auto cv = cm_->GetCVnode(fid_);
-  cm_->MaybeEvict();  // before any cvnode lock: eviction locks victims itself
-  OrderedLockGuard high(cv->high);
-
-  // Same contract as Read's try_local_locked, but the blocks come back as
-  // sub-slices of the store's shared regions: zero copies over a sharing
-  // store. The slices stay valid past eviction/overwrite — regions are
-  // immutable and writers publish new ones.
-  auto try_local_locked = [&]() -> Result<std::vector<BufferSlice>> {
-    cv->low.AssertHeld();  // callers hold it; lambdas are analyzed alone
-    ByteRange want{offset, offset + len};
-    if (!cv->attr_valid ||
-        !cm_->HasTokenLocked(*cv, kTokenStatusRead | kTokenDataRead, want)) {
-      return Status(ErrorCode::kNotFound, "tokens missing");
-    }
-    if (offset >= cv->attr.size) {
-      return std::vector<BufferSlice>{};
-    }
-    size_t n = static_cast<size_t>(std::min<uint64_t>(len, cv->attr.size - offset));
-    for (uint64_t b = BlockOf(offset); b < BlockEnd(offset, n); ++b) {
-      if (cv->cached_blocks.count(b) == 0) {
-        return Status(ErrorCode::kNotFound, "block missing");
-      }
-    }
-    std::vector<BufferSlice> slices;
-    bool from_prefetch = false;
-    for (uint64_t b = BlockOf(offset); b < BlockEnd(offset, n); ++b) {
-      uint64_t bstart = b * kBlockSize;
-      uint64_t from = std::max(offset, bstart);
-      uint64_t to = std::min(offset + n, bstart + kBlockSize);
-      ASSIGN_OR_RETURN(BufferSlice block,
-                       cm_->store_->GetSlice(fid_, b, static_cast<size_t>(to - bstart)));
-      slices.push_back(
-          block.Sub(static_cast<size_t>(from - bstart), static_cast<size_t>(to - from)));
-      from_prefetch = cv->prefetched_blocks.erase(b) != 0 || from_prefetch;
-    }
-    {
-      MutexLock lock(cm_->mu_);
-      if (from_prefetch) {
-        cm_->stats_.prefetch_hits += 1;
-      }
-      if (!cm_->store_->SharesSlices()) {
-        cm_->stats_.bytes_copied += n;  // the store's adapter copied out
-      }
-    }
-    cv->last_read_end = offset + n;
-    return slices;
-  };
-
-  bool sequential;
-  {
-    Result<std::vector<BufferSlice>> local = Status(ErrorCode::kNotFound, "not tried");
-    {
-      OrderedLockGuard low(cv->low);
-      sequential = offset == cv->last_read_end && offset != 0;
-      local = try_local_locked();
-    }
-    if (local.ok()) {
-      {
-        MutexLock lock(cm_->mu_);
-        cm_->stats_.data_cache_hits += 1;
-      }
-      size_t got = 0;
-      for (const BufferSlice& s : *local) {
-        got += s.size();
-      }
-      cm_->MaybeStartPrefetch(cv, offset, std::max<size_t>(got, 1), sequential);
-      return local;
-    }
+  // The blocks come back as sub-slices of the store's shared regions: zero
+  // copies over a sharing store.
+  std::vector<BufferSlice> slices;
+  auto read = ReadBlocks(offset, len, /*copies=*/false,
+                         [&](const BufferSlice& block, size_t from, size_t n, size_t pos) {
+                           if (pos == 0) {
+                             slices.clear();  // a retried attempt starts over
+                           }
+                           slices.push_back(block.Sub(from, n));
+                         });
+  if (!read.ok()) {
+    return read.status();
   }
-  {
-    MutexLock lock(cm_->mu_);
-    cm_->stats_.data_cache_misses += 1;
-  }
-  size_t fetch_len = std::max<size_t>(len, 1);
-  if (!cm_->prefetcher_->enabled() && cm_->options_.readahead_blocks > 0 && sequential) {
-    fetch_len += static_cast<size_t>(cm_->options_.readahead_blocks) * kBlockSize;
-  }
-  Result<std::vector<BufferSlice>> applied =
-      Status(ErrorCode::kConflict, "read raced with revocations");
-  for (int attempt = 0; attempt < 8 && !applied.ok(); ++attempt) {
-    Status fetch = cm_->FetchAndInstall(*cv, offset, fetch_len,
-                                        kTokenDataRead | kTokenStatusRead,
-                                        [&] { applied = try_local_locked(); });
-    if (!fetch.ok()) {
-      if (fetch.code() == ErrorCode::kTimedOut && attempt + 1 < 8) {
-        continue;
-      }
-      return fetch;
-    }
-  }
-  if (applied.ok()) {
-    size_t got = 0;
-    for (const BufferSlice& s : *applied) {
-      got += s.size();
-    }
-    cm_->MaybeStartPrefetch(cv, offset, std::max<size_t>(got, 1), sequential);
-  }
-  return applied;
+  return slices;
 }
 
 Result<size_t> DfsVnode::Write(uint64_t offset, std::span<const uint8_t> data) {

@@ -38,8 +38,8 @@ class Prefetcher {
  public:
   struct Options {
     // Daemon width; 0 disables background readahead entirely (the
-    // synchronous ablation — the cache manager then keeps the legacy
-    // inflated foreground fetch).
+    // synchronous configuration — the cache manager then inflates the
+    // foreground fetch instead).
     size_t threads = 0;
     // Doubling-window bounds, in blocks.
     uint32_t min_window_blocks = 4;

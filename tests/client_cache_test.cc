@@ -269,10 +269,10 @@ TEST(ClientCacheTest, SequentialReadAheadCutsRpcs) {
   auto rig = DfsRig::Create();
   ASSERT_NE(rig, nullptr);
   CacheManager::Options with;
-  with.readahead_blocks = 8;
+  with.readahead_min_blocks = 8;
   CacheManager* ra = rig->NewClient("alice", with);
   CacheManager::Options without;
-  without.readahead_blocks = 0;
+  without.readahead_min_blocks = 0;
   CacheManager* no_ra = rig->NewClient("bob", without);
   ASSERT_OK_AND_ASSIGN(VfsRef setup, ra->MountVolume("home"));
   ASSERT_OK(CreateFileAt(*setup, "/seq", 0666, TestCred()).status());

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -90,7 +91,13 @@ TEST(DatapathTest, PrefetchDisabledReproducesSynchronousPath) {
 }
 
 TEST(DatapathTest, BulkFetchSplitsLargeReadsAndMergesCorrectly) {
-  auto rig = DfsRig::Create();
+  // Each RPC leg sleeps, so a chunk stays on the wire long enough for the
+  // pool to issue the next one beside it even on a loaded machine: over an
+  // instant in-process link the overlap asserted below would be up to the
+  // scheduler.
+  DfsRig::Options ropts;
+  ropts.server.rpc.sim_latency_us = 500;
+  auto rig = DfsRig::Create(ropts);
   ASSERT_NE(rig, nullptr);
   constexpr uint64_t kBlocks = 64;  // 256 KiB
   SeedFile(*rig, "/big", kBlocks, 'b');
@@ -115,6 +122,43 @@ TEST(DatapathTest, BulkFetchSplitsLargeReadsAndMergesCorrectly) {
   EXPECT_GE(stats.bulk_rpcs_split, 1u);
   EXPECT_GE(stats.inflight_highwater, 2u)
       << "sub-range RPCs of a split fetch must overlap";
+}
+
+TEST(DatapathTest, SingleThreadPoolNeverSplitsTransfers) {
+  // A pool of one thread runs chunks one after another: a split would pay a
+  // round trip per chunk with nothing to overlap it. A large fetch and a
+  // large fsync push must each stay one RPC.
+  auto rig = DfsRig::Create();
+  ASSERT_NE(rig, nullptr);
+  constexpr uint64_t kBlocks = 64;  // 256 KiB, 8x max_rpc_bytes
+  SeedFile(*rig, "/p1", kBlocks, 'p');
+
+  CacheManager::Options opts;
+  opts.prefetch_threads = 1;
+  opts.max_rpc_bytes = 8 * kBlockSize;
+  CacheManager* client = rig->NewClient("alice", opts);
+  ASSERT_OK_AND_ASSIGN(VfsRef vfs, client->MountVolume("home"));
+  ASSERT_OK_AND_ASSIGN(VnodeRef f, ResolvePath(*vfs, "/p1"));
+
+  std::vector<uint8_t> buf(kBlocks * kBlockSize);
+  ASSERT_OK_AND_ASSIGN(size_t n, f->Read(0, buf));
+  ASSERT_EQ(n, buf.size());
+  for (size_t i = 0; i < buf.size(); i += kBlockSize / 2) {
+    ASSERT_EQ(buf[i], 'p') << "offset " << i;
+  }
+  std::vector<uint8_t> fresh(kBlocks * kBlockSize, 'w');
+  ASSERT_OK_AND_ASSIGN(size_t written, f->Write(0, fresh));
+  ASSERT_EQ(written, fresh.size());
+  ASSERT_OK(client->Fsync(f->fid()));
+
+  CacheManager::Stats stats = client->stats();
+  EXPECT_EQ(stats.bulk_rpcs_split, 0u) << "a one-thread pool cannot overlap chunks";
+  EXPECT_LE(stats.inflight_highwater, 1u);
+
+  CacheManager* reader = rig->NewClient("bob");
+  ASSERT_OK_AND_ASSIGN(VfsRef rv, reader->MountVolume("home"));
+  ASSERT_OK_AND_ASSIGN(std::string back, ReadFileAt(*rv, "/p1"));
+  EXPECT_EQ(back, std::string(kBlocks * kBlockSize, 'w'));
 }
 
 TEST(DatapathTest, BulkStoreSplitsLargeWritesAndReadsBack) {
@@ -441,6 +485,72 @@ TEST(DatapathTest, ReadSlicesServesZeroCopyOverMemoryStore) {
   EXPECT_EQ(reader->stats().bytes_copied, copied_before)
       << "cached ReadSlices over MemoryCacheStore must not copy";
   EXPECT_GE(reader->stats().bytes_moved, 16u * kBlockSize);
+
+  // Read and ReadSlices are one read path. Two fresh clients driven through
+  // the same accesses — a cold miss, a sequential run (whose misses inflate
+  // the synchronous fetch) and random offsets, some past EOF — return the
+  // same bytes, count the same hits and misses and put the same RPCs on the
+  // link. Only the copy accounting differs: Read copies every byte out,
+  // ReadSlices none over a sharing store.
+  constexpr uint64_t kSize = 40 * kBlockSize + 123;  // a short tail block
+  std::string pattern(kSize, 0);
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    pattern[i] = static_cast<char>((i * 131 + i / kBlockSize) % 251);
+  }
+  CacheManager* setup = rig->NewClient("root");
+  ASSERT_OK_AND_ASSIGN(VfsRef svfs, setup->MountVolume("home"));
+  ASSERT_OK(CreateFileAt(*svfs, "/agree", 0666, TestCred()).status());
+  ASSERT_OK(WriteFileAt(*svfs, "/agree", pattern, TestCred()));
+  ASSERT_OK(setup->SyncAll());
+  ASSERT_OK(setup->ReturnAllTokens());
+
+  CacheManager* by_read = rig->NewClient("bob");
+  CacheManager* by_slices = rig->NewClient("bob");
+  ASSERT_NE(by_read, nullptr);
+  ASSERT_NE(by_slices, nullptr);
+  ASSERT_OK_AND_ASSIGN(VfsRef rvfs, by_read->MountVolume("home"));
+  ASSERT_OK_AND_ASSIGN(VfsRef svfs2, by_slices->MountVolume("home"));
+  ASSERT_OK_AND_ASSIGN(VnodeRef rf, ResolvePath(*rvfs, "/agree"));
+  ASSERT_OK_AND_ASSIGN(VnodeRef sf, ResolvePath(*svfs2, "/agree"));
+
+  std::vector<std::pair<uint64_t, size_t>> accesses = {{0, 3000}};
+  for (uint64_t off = 3000; off < 20 * kBlockSize; off += 5000) {
+    accesses.push_back({off, 5000});
+  }
+  std::mt19937_64 rng(7);
+  for (int i = 0; i < 40; ++i) {
+    accesses.push_back({rng() % (kSize + 2 * kBlockSize), 1 + rng() % (3 * kBlockSize)});
+  }
+  LinkStats rlink = rig->net.StatsBetween(by_read->node(), kServerNode);
+  LinkStats slink = rig->net.StatsBetween(by_slices->node(), kServerNode);
+  CacheManager::Stats rbefore = by_read->stats();
+  CacheManager::Stats sbefore = by_slices->stats();
+  uint64_t bytes_read = 0;
+  for (const auto& [off, len] : accesses) {
+    std::vector<uint8_t> buf(len);
+    ASSERT_OK_AND_ASSIGN(size_t got, rf->Read(off, buf));
+    ASSERT_OK_AND_ASSIGN(std::vector<BufferSlice> slices, sf->ReadSlices(off, len));
+    std::string joined;
+    for (const BufferSlice& s : slices) {
+      joined.append(reinterpret_cast<const char*>(s.data()), s.size());
+    }
+    std::string expect = off < kSize ? pattern.substr(off, len) : std::string();
+    ASSERT_EQ(std::string(reinterpret_cast<const char*>(buf.data()), got), expect)
+        << "Read at " << off << "+" << len;
+    ASSERT_EQ(joined, expect) << "ReadSlices at " << off << "+" << len;
+    bytes_read += got;
+  }
+  CacheManager::Stats rs = by_read->stats();
+  CacheManager::Stats ss = by_slices->stats();
+  EXPECT_GT(rs.data_cache_hits - rbefore.data_cache_hits, 0u);
+  EXPECT_EQ(rs.data_cache_hits - rbefore.data_cache_hits,
+            ss.data_cache_hits - sbefore.data_cache_hits);
+  EXPECT_EQ(rs.data_cache_misses - rbefore.data_cache_misses,
+            ss.data_cache_misses - sbefore.data_cache_misses);
+  EXPECT_EQ(rig->net.StatsBetween(by_read->node(), kServerNode).calls - rlink.calls,
+            rig->net.StatsBetween(by_slices->node(), kServerNode).calls - slink.calls);
+  EXPECT_EQ((rs.bytes_copied - rbefore.bytes_copied) - (ss.bytes_copied - sbefore.bytes_copied),
+            bytes_read);
 }
 
 TEST(DatapathTest, RigAutotunesShardCountFromVolumeCount) {
