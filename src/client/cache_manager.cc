@@ -516,6 +516,32 @@ void CacheManager::AddTokenLocked(CVnode& cv, const Token& token) {
   JournalGrantLocked(cv, token);
 }
 
+bool CacheManager::InstallGrantLocked(CVnode& cv, const Token& token) {
+  if (token.id < cv.fold_watermark) {
+    return false;
+  }
+  if (cv.rpc_in_flight > 0) {
+    cv.fold_watermark = std::max(cv.fold_watermark, token.id);
+  }
+  for (auto it = cv.tokens.begin(); it != cv.tokens.end();) {
+    uint32_t folded = FoldedTypes(token, *it);
+    if (folded == 0) {
+      ++it;
+      continue;
+    }
+    it->types &= ~folded;
+    if (it->types == 0) {
+      JournalEraseLocked(cv, *it);
+      it = cv.tokens.erase(it);
+    } else {
+      JournalGrantLocked(cv, *it);  // the record is keyed by id: an update
+      ++it;
+    }
+  }
+  AddTokenLocked(cv, token);
+  return true;
+}
+
 bool CacheManager::MergeSyncLocked(CVnode& cv, const SyncInfo& sync) {
   // Old status never overwrites new (Sections 6.3/6.4).
   if (sync.stamp <= cv.stamp) {
@@ -681,7 +707,32 @@ Status CacheManager::ApplyRevocationLocked(CVnode& cv, const Token& token, uint3
   return Status::Ok();
 }
 
+Status CacheManager::StripUnknownRevocationLocked(CVnode& cv, const Token& token,
+                                                  uint32_t types, uint64_t stamp) {
+  // Only status and data types fold, so only they can hide in a lost grant.
+  constexpr uint32_t kStatus = kTokenStatusRead | kTokenStatusWrite;
+  constexpr uint32_t kData = kTokenDataRead | kTokenDataWrite;
+  // Collected first: ApplyRevocationLocked edits cv.tokens.
+  std::vector<std::pair<Token, uint32_t>> strips;
+  for (const Token& t : cv.tokens) {
+    uint32_t strip = t.types & types & kStatus;
+    if (t.range.Overlaps(token.range)) {
+      strip |= t.types & types & kData;
+    }
+    if (strip != 0) {
+      strips.push_back({t, strip});
+    }
+  }
+  for (const auto& [t, strip] : strips) {
+    RETURN_IF_ERROR(ApplyRevocationLocked(cv, t, strip, stamp));
+  }
+  return Status::Ok();
+}
+
 std::vector<std::pair<TokenId, uint32_t>> CacheManager::DrainPendingLocked(CVnode& cv) {
+  if (cv.rpc_in_flight == 0) {
+    cv.fold_watermark = 0;  // no older grant can still arrive
+  }
   std::vector<std::pair<TokenId, uint32_t>> to_return;
   std::sort(cv.pending.begin(), cv.pending.end(),
             [](const PendingRevocation& a, const PendingRevocation& b) {
@@ -701,7 +752,9 @@ std::vector<std::pair<TokenId, uint32_t>> CacheManager::DrainPendingLocked(CVnod
       it = cv.pending.erase(it);
     } else if (cv.rpc_in_flight == 0) {
       // The grant-carrying reply never arrived (error path); the server still
-      // holds the token for us — return it sight unseen.
+      // holds the token for us — strip what it may have folded, then return
+      // it sight unseen.
+      (void)StripUnknownRevocationLocked(cv, it->token, it->types, it->stamp);
       to_return.push_back({it->token.id, it->types});
       it = cv.pending.erase(it);
     } else {
@@ -1060,8 +1113,8 @@ Status CacheManager::InstallFetchReplyLocked(CVnode& cv, uint64_t aligned_off,
   // the token it was granted (dropping it would leak it at the server) and
   // the stamp rule makes the sync merge safe in any order.
   MergeSyncLocked(cv, sync);
-  if (has_token) {
-    AddTokenLocked(cv, token);
+  if (has_token && !InstallGrantLocked(cv, token)) {
+    return Status::Ok();  // a stale grant: its data may predate what we cache
   }
   if (!install_data) {
     return Status::Ok();
@@ -1439,7 +1492,7 @@ Status CacheManager::EnsureStatus(CVnode& cv) {
     ASSIGN_OR_RETURN(SyncInfo sync, ReadSyncInfo(r));
     MergeSyncLocked(cv, sync);
     if (has_token) {
-      AddTokenLocked(cv, token);
+      (void)InstallGrantLocked(cv, token);
     }
     cv.attr_valid = true;
     // A freshly fetched status token only vouches for the directory from this
@@ -1482,7 +1535,10 @@ uint8_t CacheManager::HandleOneRevocation(const Token& token, uint32_t types, ui
       }
       return kRevokeDeferred;
     }
-    return kRevokeReturned;  // never had it / already gone
+    // Never had it, already gone, or granted in a reply we lost — in which
+    // case the server may have folded tokens we still hold into it.
+    Status stripped = StripUnknownRevocationLocked(*cv, token, types, stamp);
+    return stripped.ok() ? kRevokeReturned : kRevokeDeferred;
   }
   if ((types & kTokenOpenMask) != 0 && cv->open_count > 0) {
     // Open tokens for files we actually have open are not returned

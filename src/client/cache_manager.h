@@ -288,6 +288,12 @@ class CacheManager : public RpcHandler {
     std::set<uint64_t> cached_blocks GUARDED_BY(low);
     std::set<uint64_t> dirty_blocks GUARDED_BY(low);
     int rpc_in_flight GUARDED_BY(low) = 0;
+    // Id of the newest cache grant installed while another fetch on the file
+    // was in flight; cleared once none is. A reply that arrives later with
+    // an older grant was minted before it, so the server may have folded
+    // that grant into it — and a revocation may since have taken what was
+    // folded. Neither its token nor its data can be trusted.
+    TokenId fold_watermark GUARDED_BY(low) = 0;
     // Sequential-read detector for read-ahead: end offset of the last read.
     uint64_t last_read_end GUARDED_BY(low) = 0;
     // Background-readahead cancellation: a seek, close, or data revocation
@@ -348,6 +354,12 @@ class CacheManager : public RpcHandler {
   bool HasTokenLocked(CVnode& cv, uint32_t types, const ByteRange& range) const
       REQUIRES(cv.low);
   void AddTokenLocked(CVnode& cv, const Token& token) REQUIRES(cv.low);
+  // Installs a cache token from a kFetchData/kFetchStatus reply, mirroring
+  // the server's fold (FoldedTypes): older tokens on the file lose the types
+  // the grant makes redundant; emptied tokens leave the journal. Returns
+  // false, installing nothing, for a grant older than cv.fold_watermark: the
+  // reply carrying it must not install its data either.
+  bool InstallGrantLocked(CVnode& cv, const Token& token) REQUIRES(cv.low);
   // Merges a reply's SyncInfo under the stamp rule; returns true if applied.
   bool MergeSyncLocked(CVnode& cv, const SyncInfo& sync) REQUIRES(cv.low);
   // Applies any queued revocations whose tokens are now known; returns the
@@ -358,6 +370,14 @@ class CacheManager : public RpcHandler {
   // under L4 only).
   Status ApplyRevocationLocked(CVnode& cv, const Token& token, uint32_t types, uint64_t stamp)
       REQUIRES(cv.low);
+  // A revocation of a token this client does not hold, with nothing in
+  // flight: if its grant reply was lost, the server may have folded tokens
+  // we still hold into it. Strips the revoked status types from every token
+  // on the file, and the revoked data types where the ranges overlap, through
+  // ApplyRevocationLocked (so dirty data under a stripped write type is
+  // pushed first).
+  Status StripUnknownRevocationLocked(CVnode& cv, const Token& token, uint32_t types,
+                                      uint64_t stamp) REQUIRES(cv.low);
   Status StoreDirtyRangeLocked(CVnode& cv, const ByteRange& range, bool revocation_path)
       REQUIRES(cv.low);
   // A store of blocks [first, last] succeeded: they leave the dirty set (and

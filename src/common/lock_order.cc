@@ -1,7 +1,10 @@
 #include "src/common/lock_order.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+
+#include "src/common/mutex.h"
 
 namespace dfs {
 namespace {
@@ -15,23 +18,91 @@ struct HeldLock {
 
 thread_local std::vector<HeldLock> g_held;
 
+// Acquisition counts are per thread, so the hot path writes a counter no
+// other thread writes instead of one atomic every thread contends on.
+struct CheckCounters {
+  // LOCK-EXEMPT(leaf): guards the registry only; taken when a thread starts
+  // or stops counting and by checked_count(), with nothing acquired inside.
+  Mutex mu;
+  std::vector<const std::atomic<uint64_t>*> live GUARDED_BY(mu);
+  uint64_t exited GUARDED_BY(mu) = 0;  // counts folded in by exited threads
+};
+
+// Never destroyed: threads may still exit after static destruction starts.
+CheckCounters& Counters() {
+  static CheckCounters* counters = new CheckCounters;
+  return *counters;
+}
+
+// Set on the thread's first counted acquisition; cleared, with `t_exited`
+// set, when the thread's count folds into the registry at thread exit.
+thread_local std::atomic<uint64_t>* t_count = nullptr;
+thread_local bool t_exited = false;
+
+class ThreadCount {
+ public:
+  ThreadCount() {
+    CheckCounters& c = Counters();
+    MutexLock lock(c.mu);
+    c.live.push_back(&count_);
+  }
+  ThreadCount(const ThreadCount&) = delete;
+  ThreadCount& operator=(const ThreadCount&) = delete;
+  ~ThreadCount() {
+    CheckCounters& c = Counters();
+    MutexLock lock(c.mu);
+    c.exited += count_.load(std::memory_order_relaxed);
+    c.live.erase(std::find(c.live.begin(), c.live.end(), &count_));
+    t_count = nullptr;
+    t_exited = true;
+  }
+  std::atomic<uint64_t>* count() { return &count_; }
+
+ private:
+  std::atomic<uint64_t> count_{0};
+};
+
+void CountCheck() {
+  if (t_count == nullptr) {
+    if (t_exited) {
+      // A lock taken by another thread-local's destructor after this
+      // thread's count was folded in: count it straight into the registry.
+      CheckCounters& c = Counters();
+      MutexLock lock(c.mu);
+      c.exited += 1;
+      return;
+    }
+    static thread_local ThreadCount owner;
+    t_count = owner.count();
+  }
+  // This thread is the only writer: a plain load and store, no locked add.
+  t_count->store(t_count->load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 std::atomic<bool> LockOrderChecker::enabled_{true};
-std::atomic<uint64_t> LockOrderChecker::checked_{0};
 
 void LockOrderChecker::Enable(bool on) { enabled_.store(on, std::memory_order_release); }
 
 bool LockOrderChecker::enabled() { return enabled_.load(std::memory_order_acquire); }
 
-uint64_t LockOrderChecker::checked_count() { return checked_.load(std::memory_order_relaxed); }
+uint64_t LockOrderChecker::checked_count() {
+  CheckCounters& c = Counters();
+  MutexLock lock(c.mu);
+  uint64_t total = c.exited;
+  for (const std::atomic<uint64_t>* count : c.live) {
+    total += count->load(std::memory_order_relaxed);
+  }
+  return total;
+}
 
 void LockOrderChecker::NoteAcquire(LockLevel level, uint64_t tag, const char* name,
                                    bool shared) {
   if (!enabled()) {
     return;
   }
-  checked_.fetch_add(1, std::memory_order_relaxed);
+  CountCheck();
   if (!g_held.empty()) {
     const HeldLock& top = g_held.back();
     // Shared acquisitions obey the same partial order as exclusive ones: a

@@ -74,11 +74,12 @@ class LockOrderChecker {
   static void NoteRelease(LockLevel level, uint64_t tag);
 
   // Total acquisitions checked (for the E9 stress bench's sanity output).
+  // Each thread counts its own; this sums the live threads' counts and those
+  // exited threads left behind.
   static uint64_t checked_count();
 
  private:
   static std::atomic<bool> enabled_;
-  static std::atomic<uint64_t> checked_;
 };
 
 // A mutex with a hierarchy level and per-object tag. Same-level locks must be

@@ -506,7 +506,9 @@ FileServer::Body FileServer::DoFetchStatus(const RpcRequest& req, Reader& r) {
   ASSIGN_OR_RETURN(VnodeRef vnode, ResolveFid(fid));
   Writer w;
   if (want != 0) {
-    ASSIGN_OR_RETURN(Token token, tokens_.Grant(req.from, fid, want, ByteRange::All()));
+    // A cache token: the client keeps it and mirrors the fold on install.
+    ASSIGN_OR_RETURN(Token token,
+                     tokens_.Grant(req.from, fid, want, ByteRange::All(), /*fold=*/true));
     w.PutBool(true);
     token.Serialize(w);
   } else {
@@ -542,7 +544,8 @@ FileServer::Body FileServer::DoFetchData(const RpcRequest& req, Reader& r) {
                             (want & kTokenDataWrite) ? kRightRead | kRightWrite : kRightRead));
   Writer w;
   if (want != 0) {
-    ASSIGN_OR_RETURN(Token token, tokens_.Grant(req.from, fid, want, range));
+    // A cache token: the client keeps it and mirrors the fold on install.
+    ASSIGN_OR_RETURN(Token token, tokens_.Grant(req.from, fid, want, range, /*fold=*/true));
     w.PutBool(true);
     token.Serialize(w);
   } else {

@@ -120,4 +120,18 @@ bool TokensCompatible(uint32_t types_a, const ByteRange& range_a, uint32_t types
          ConflictingTypes(types_b, range_b, types_a, range_a) == 0;
 }
 
+uint32_t FoldedTypes(const Token& grant, const Token& held) {
+  if (held.id >= grant.id || held.host != grant.host || held.fid != grant.fid) {
+    return 0;
+  }
+  constexpr uint32_t kStatus = kTokenStatusRead | kTokenStatusWrite;
+  constexpr uint32_t kData = kTokenDataRead | kTokenDataWrite;
+  uint32_t shared = held.types & grant.types;
+  uint32_t folded = shared & kStatus;
+  if (grant.range.Contains(held.range)) {
+    folded |= shared & kData;
+  }
+  return folded;
+}
+
 }  // namespace dfs

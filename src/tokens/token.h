@@ -92,6 +92,18 @@ uint32_t ConflictingTypes(uint32_t held, const ByteRange& held_range, uint32_t r
 bool TokensCompatible(uint32_t types_a, const ByteRange& range_a, uint32_t types_b,
                       const ByteRange& range_b);
 
+// The fold rule, shared by the server (when it mints a cache token) and the
+// client (when it installs one): the types of `held`, an older token of the
+// same host on the same fid, that the new `grant` makes redundant. Those are
+// the status bits `grant` also carries (status ignores ranges), plus the data
+// bits it also carries when its range contains `held`'s. Open and lock bits
+// never fold. Dropping the folded types from `held` shrinks the host's token
+// set without changing the union of what it covers.
+//
+// Only older tokens fold (held.id < grant.id), as at the server, which folds
+// at mint time, when every token it holds is older. 0 for any other token.
+uint32_t FoldedTypes(const Token& grant, const Token& held);
+
 }  // namespace dfs
 
 #endif  // SRC_TOKENS_TOKEN_H_

@@ -13,6 +13,22 @@ uint64_t MixVolume(uint64_t volume) {
   volume ^= volume >> 33;
   return volume;
 }
+
+// Removes `id` from the index list under `key`, keeping grant order. The
+// emptied list is pruned: files and volumes come and go (creates, unlinks,
+// clones, moves), and an entry per key ever seen would grow without bound.
+template <typename Index, typename Key>
+void EraseFromIndex(Index& index, const Key& key, TokenId id) {
+  auto it = index.find(key);
+  if (it == index.end()) {
+    return;
+  }
+  auto& ids = it->second;
+  ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
+  if (ids.empty()) {
+    index.erase(it);
+  }
+}
 }  // namespace
 
 // Builds a fresh n-shard table. Tags 1..n: a thread only ever holds one shard
@@ -108,14 +124,7 @@ void TokenManager::UnregisterHost(HostId host) {
     ShardGuard lock(*shard);
     for (auto it = shard->tokens.begin(); it != shard->tokens.end();) {
       if (it->second.host == host) {
-        auto vit = shard->by_volume.find(it->second.fid.volume);
-        if (vit != shard->by_volume.end()) {
-          auto& vec = vit->second;
-          vec.erase(std::remove(vec.begin(), vec.end(), it->first), vec.end());
-          if (vec.empty()) {
-            shard->by_volume.erase(vit);
-          }
-        }
+        UnindexLocked(*shard, it->second);
         it = shard->tokens.erase(it);
       } else {
         ++it;
@@ -128,30 +137,41 @@ void TokenManager::UnregisterHost(HostId host) {
 std::vector<std::pair<Token, uint32_t>> TokenManager::ConflictsLocked(
     const Shard& shard, HostId host, const Fid& fid, uint32_t types,
     const ByteRange& range) const {
-  std::vector<std::pair<Token, uint32_t>> conflicts;
-  auto vit = shard.by_volume.find(fid.volume);
-  if (vit == shard.by_volume.end()) {
-    return conflicts;
+  // The candidates: the file's tokens plus the volume's whole-volume tokens.
+  // A whole-volume request conflicts with write-class tokens on any file of
+  // the volume, so it reads every file's list of the volume instead (rare:
+  // only the replication server asks for one).
+  std::vector<const std::vector<TokenId>*> lists;
+  if ((types & kTokenWholeVolume) != 0) {
+    for (const auto& [f, ids] : shard.by_fid) {
+      if (f.volume == fid.volume) {
+        lists.push_back(&ids);
+      }
+    }
+  } else if (auto fit = shard.by_fid.find(fid); fit != shard.by_fid.end()) {
+    lists.push_back(&fit->second);
   }
-  for (TokenId id : vit->second) {
-    auto tit = shard.tokens.find(id);
-    if (tit == shard.tokens.end()) {
-      continue;
-    }
-    const Token& t = tit->second;
-    if (t.host == host) {
-      continue;  // a host never conflicts with itself
-    }
-    bool same_file = (t.fid == fid);
-    bool volume_scope = (t.types & kTokenWholeVolume) || (types & kTokenWholeVolume);
-    if (!same_file && !volume_scope) {
-      continue;
-    }
-    // Only the conflicting *types* of the token need revoking; the holder
-    // keeps the rest (e.g. byte-range data tokens survive a status handoff).
-    uint32_t conflicting = ConflictingTypes(t.types, t.range, types, range);
-    if (conflicting != 0) {
-      conflicts.push_back({t, conflicting});
+  if (auto vit = shard.volume_scope.find(fid.volume); vit != shard.volume_scope.end()) {
+    lists.push_back(&vit->second);
+  }
+  std::vector<std::pair<Token, uint32_t>> conflicts;
+  for (const std::vector<TokenId>* ids : lists) {
+    for (TokenId id : *ids) {
+      const Token& t = shard.tokens.at(id);
+      if (t.host == host) {
+        continue;  // a host never conflicts with itself
+      }
+      bool same_file = (t.fid == fid);
+      bool volume_scope = (t.types & kTokenWholeVolume) || (types & kTokenWholeVolume);
+      if (!same_file && !volume_scope) {
+        continue;
+      }
+      // Only the conflicting *types* of the token need revoking; the holder
+      // keeps the rest (e.g. byte-range data tokens survive a status handoff).
+      uint32_t conflicting = ConflictingTypes(t.types, t.range, types, range);
+      if (conflicting != 0) {
+        conflicts.push_back({t, conflicting});
+      }
     }
   }
   return conflicts;
@@ -167,21 +187,61 @@ void TokenManager::EraseTokenTypesLocked(Shard& shard, TokenId id, uint32_t type
   if (it == shard.tokens.end()) {
     return;
   }
-  it->second.types &= ~types;
-  if (it->second.types == 0) {
-    auto vit = shard.by_volume.find(it->second.fid.volume);
-    if (vit != shard.by_volume.end()) {
-      auto& vec = vit->second;
-      vec.erase(std::remove(vec.begin(), vec.end(), id), vec.end());
-      if (vec.empty()) {
-        // Prune the emptied volume entry: volumes come and go (clones, moves,
-        // tests churning fids), and an entry per volume ever seen would grow
-        // without bound.
-        shard.by_volume.erase(vit);
-      }
-    }
-    shard.tokens.erase(it);
+  Token& t = it->second;
+  uint32_t kept = t.types & ~types;
+  if (kept != 0 && ((kept ^ t.types) & kTokenWholeVolume) == 0) {
+    t.types = kept;  // still in the same index list
+    return;
   }
+  // The token leaves its list: it is gone, or it lost its whole-volume bit
+  // and moves to its file's list.
+  UnindexLocked(shard, t);
+  if (kept == 0) {
+    shard.tokens.erase(it);
+    return;
+  }
+  t.types = kept;
+  IndexLocked(shard, t);
+}
+
+void TokenManager::InsertTokenLocked(Shard& shard, const Token& token) {
+  shard.tokens.emplace(token.id, token);
+  IndexLocked(shard, token);
+}
+
+void TokenManager::IndexLocked(Shard& shard, const Token& token) {
+  if ((token.types & kTokenWholeVolume) != 0) {
+    shard.volume_scope[token.fid.volume].push_back(token.id);
+  } else {
+    shard.by_fid[token.fid].push_back(token.id);
+  }
+}
+
+void TokenManager::UnindexLocked(Shard& shard, const Token& token) {
+  if ((token.types & kTokenWholeVolume) != 0) {
+    EraseFromIndex(shard.volume_scope, token.fid.volume, token.id);
+  } else {
+    EraseFromIndex(shard.by_fid, token.fid, token.id);
+  }
+}
+
+bool TokenManager::FoldLocked(Shard& shard, const Token& grant) {
+  auto fit = shard.by_fid.find(grant.fid);
+  if (fit == shard.by_fid.end()) {
+    return false;
+  }
+  // Collected first: erasing a token edits the list being walked.
+  std::vector<std::pair<TokenId, uint32_t>> folds;
+  for (TokenId id : fit->second) {
+    uint32_t folded = FoldedTypes(grant, shard.tokens.at(id));
+    if (folded != 0) {
+      folds.push_back({id, folded});
+    }
+  }
+  for (const auto& [id, folded] : folds) {
+    EraseTokenTypesLocked(shard, id, folded);
+  }
+  return !folds.empty();
 }
 
 TokenManager::IssueResult TokenManager::IssueRevokes(std::vector<RevokeOutcome>& outcomes) {
@@ -394,7 +454,7 @@ Status TokenManager::RevokeConflicts(Shard& shard,
 }
 
 Result<Token> TokenManager::Grant(HostId host, const Fid& fid, uint32_t types,
-                                  ByteRange range) {
+                                  ByteRange range, bool fold) {
   // One table snapshot for the whole retry loop: every round's scan, erase
   // and mint land in the same shard object. The one exception: finding the
   // shard retired means the pre-traffic autotune resize swapped the table
@@ -444,8 +504,12 @@ Result<Token> TokenManager::Grant(HostId host, const Fid& fid, uint32_t types,
           token.types = types;
           token.range = range;
           token.host = host;
-          shard.tokens.emplace(token.id, token);
-          shard.by_volume[fid.volume].push_back(token.id);
+          // A grant deferred-waiting on one of the folded tokens sees it
+          // relinquished and re-scans, finding the new token instead.
+          if (fold && FoldLocked(shard, token)) {
+            shard.returned_cv.notify_all();
+          }
+          InsertTokenLocked(shard, token);
           shard.stats.grants += 1;
           return token;
         }
@@ -494,8 +558,7 @@ Status TokenManager::ReassertLocked(Shard& shard, const Token& token) {
     shard.stats.reassert_conflicts += 1;
     return Status(ErrorCode::kConflict, "reassertion lost to a conflicting grant");
   }
-  shard.tokens.emplace(token.id, token);
-  shard.by_volume[token.fid.volume].push_back(token.id);
+  InsertTokenLocked(shard, token);
   shard.stats.reasserts += 1;
   // Fresh grants must mint ids above every reasserted one.
   TokenId cur = next_id_.load(std::memory_order_relaxed);
@@ -538,9 +601,17 @@ std::vector<Token> TokenManager::TokensForFid(const Fid& fid) const {
   Shard& shard = ShardFor(*table, fid.volume);
   ShardGuard lock(shard);
   std::vector<Token> out;
-  for (const auto& [id, t] : shard.tokens) {
-    if (t.fid == fid) {
-      out.push_back(t);
+  if (auto fit = shard.by_fid.find(fid); fit != shard.by_fid.end()) {
+    for (TokenId id : fit->second) {
+      out.push_back(shard.tokens.at(id));
+    }
+  }
+  if (auto vit = shard.volume_scope.find(fid.volume); vit != shard.volume_scope.end()) {
+    for (TokenId id : vit->second) {
+      const Token& t = shard.tokens.at(id);
+      if (t.fid == fid) {
+        out.push_back(t);
+      }
     }
   }
   return out;
@@ -581,12 +652,12 @@ TokenManager::Stats TokenManager::stats() const {
   return total;
 }
 
-size_t TokenManager::VolumeIndexEntries() const {
+size_t TokenManager::FidIndexEntries() const {
   size_t n = 0;
   auto table = SnapshotTable();
   for (const auto& shard : *table) {
     ShardGuard lock(*shard);
-    n += shard->by_volume.size();
+    n += shard->by_fid.size() + shard->volume_scope.size();
   }
   return n;
 }

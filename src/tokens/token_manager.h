@@ -19,7 +19,9 @@
 //     hierarchy-checked OrderedMutex (LockLevel::kTokenShard), so grants on
 //     unrelated volumes never contend. All state a single grant touches lives
 //     in one shard, because conflicts are always same-file or whole-volume —
-//     both within the granting fid's volume.
+//     both within the granting fid's volume. Inside a shard, tokens are
+//     indexed by file, so a grant's conflict scan reads only the file's
+//     tokens plus the volume's held whole-volume tokens.
 //   - Within a grant, each re-scan round collects *all* conflicts and issues
 //     the Revoke callbacks concurrently on a bounded fan-out pool, so a
 //     write-open on a file cached by N hosts costs ~1 revocation round-trip
@@ -143,8 +145,17 @@ class TokenManager {
   void UnregisterHost(HostId host);
 
   // Grants `types` over `range` of `fid` to `host`, revoking conflicting
-  // grants first. For a whole-volume token pass fid = {volume, 0, 0}.
-  Result<Token> Grant(HostId host, const Fid& fid, uint32_t types, ByteRange range);
+  // grants first. For a whole-volume token pass fid = {volume, 0, 0}. The
+  // token always carries a freshly minted id.
+  //
+  // `fold` is for grants that reach the client as cache tokens (kFetchData,
+  // kFetchStatus), whose client mirrors the fold when it installs them: the
+  // types the new token makes redundant (FoldedTypes) are stripped from the
+  // host's other tokens on the fid, and tokens left with no types are erased.
+  // A grant that is returned after one operation must not fold — the host
+  // would lose a token it still relies on when the transient one goes back.
+  Result<Token> Grant(HostId host, const Fid& fid, uint32_t types, ByteRange range,
+                      bool fold = false);
 
   // Returns (releases) the given types of a granted token; the token is
   // erased when no types remain. Wakes grant waiters.
@@ -175,10 +186,11 @@ class TokenManager {
   void AutotuneShards(size_t volume_count);
 
   size_t shard_count() const { return SnapshotTable()->size(); }
-  // Entries in the volume->tokens secondary index, across shards. Exposed so
-  // tests can assert that emptied volumes are pruned rather than accumulating
-  // forever across volume churn.
-  size_t VolumeIndexEntries() const;
+  // Entries in the per-file conflict index (fids, plus volumes with held
+  // whole-volume tokens), across shards. Exposed so tests can assert that
+  // emptied entries are pruned rather than accumulating forever across file
+  // and volume churn.
+  size_t FidIndexEntries() const;
 
  private:
   struct Shard {
@@ -206,9 +218,11 @@ class TokenManager {
     // release/reacquire exactly.
     std::condition_variable_any returned_cv;
     std::map<TokenId, Token> tokens GUARDED_BY(mu);
-    // Secondary index: volume -> token ids (for whole-volume conflict scans).
-    // Emptied vectors are pruned.
-    std::unordered_map<uint64_t, std::vector<TokenId>> by_volume GUARDED_BY(mu);
+    // The conflict index. Every token sits in exactly one list: a token
+    // carrying kTokenWholeVolume in its volume's `volume_scope` list, any
+    // other in its file's `by_fid` list. Emptied lists are pruned.
+    std::unordered_map<Fid, std::vector<TokenId>, FidHash> by_fid GUARDED_BY(mu);
+    std::unordered_map<uint64_t, std::vector<TokenId>> volume_scope GUARDED_BY(mu);
     Stats stats GUARDED_BY(mu);
     // Set (under mu, with the shard verified empty) by AutotuneShards when it
     // swaps this shard's table out. A mutator that finds its shard retired
@@ -264,9 +278,18 @@ class TokenManager {
   // True once the conflicting types of `id` are gone (deferred-return wait).
   bool RelinquishedLocked(const Shard& shard, TokenId id, uint32_t types) const
       REQUIRES(shard.mu);
-  // Erases `types` from token `id`, pruning the token (and its volume-index
-  // entry, and the index vector when emptied) once no types remain.
+  // Erases `types` from token `id`, pruning the token (and its index entry,
+  // and the index list when emptied) once no types remain.
   void EraseTokenTypesLocked(Shard& shard, TokenId id, uint32_t types) REQUIRES(shard.mu);
+  // Adds a minted or reasserted token to the shard and its conflict index.
+  void InsertTokenLocked(Shard& shard, const Token& token) REQUIRES(shard.mu);
+  // Adds `token` to / removes it from the index list its `types` select,
+  // pruning a list that empties.
+  void IndexLocked(Shard& shard, const Token& token) REQUIRES(shard.mu);
+  void UnindexLocked(Shard& shard, const Token& token) REQUIRES(shard.mu);
+  // Strips from `grant.host`'s other tokens on `grant.fid` the types `grant`
+  // makes redundant (FoldedTypes); returns true if any token changed.
+  bool FoldLocked(Shard& shard, const Token& grant) REQUIRES(shard.mu);
   // Reassert body, once Reassert has pinned a live (non-retired) shard.
   Status ReassertLocked(Shard& shard, const Token& token) REQUIRES(shard.mu);
 

@@ -122,8 +122,10 @@ TEST(RevocationOrderingTest, ReadTokenRevocationKeepsDirtyBlocks) {
   ASSERT_OK(client->SyncAll());
   ASSERT_OK(client->ReturnAllTokens());
   ASSERT_OK_AND_ASSIGN(VnodeRef f, ResolvePath(*vfs, "/f"));
-  std::vector<uint8_t> buf(kBlockSize);
-  ASSERT_OK(f->Read(0, buf).status());  // read-only data token over block 0
+  // Read two blocks, so the read-only token's range is not contained in the
+  // write token's and does not fold into it.
+  std::vector<uint8_t> buf(2 * kBlockSize);
+  ASSERT_OK(f->Read(0, buf).status());  // read-only data token over blocks 0-1
   std::vector<uint8_t> fresh(kBlockSize, 'n');
   ASSERT_OK(f->Write(0, fresh).status());  // read+write data token, block 0 dirty
 
@@ -153,6 +155,69 @@ TEST(RevocationOrderingTest, ReadTokenRevocationKeepsDirtyBlocks) {
   CacheManager* other = rig->NewClient("bob");
   ASSERT_OK_AND_ASSIGN(VfsRef ovfs, other->MountVolume("home"));
   ASSERT_OK_AND_ASSIGN(std::string back, ReadFileAt(*ovfs, "/f"));
+  ASSERT_EQ(back.size(), kBlockSize);
+  EXPECT_EQ(std::count(back.begin(), back.end(), 'n'), static_cast<ptrdiff_t>(kBlockSize));
+}
+
+// A grant reply can be lost (timeout, partition) after the server folded the
+// client's older tokens into the new grant. The server then revokes a token
+// the client never saw, while the client still caches under the folded ones:
+// the revocation must strip the revoked types from them.
+TEST(RevocationOrderingTest, UnknownRevocationStripsWhatALostGrantFolded) {
+  auto rig = DfsRig::Create();
+  ASSERT_NE(rig, nullptr);
+  CacheManager* client = rig->NewClient();
+  ASSERT_OK_AND_ASSIGN(VfsRef vfs, client->MountVolume("home"));
+  ASSERT_OK(WriteFileAt(*vfs, "/f", std::string(kBlockSize, 'o'), TestCred()));
+  ASSERT_OK(client->SyncAll());
+  ASSERT_OK(client->ReturnAllTokens());
+  ASSERT_OK_AND_ASSIGN(VnodeRef f, ResolvePath(*vfs, "/f"));
+  std::vector<uint8_t> buf(kBlockSize);
+  ASSERT_OK(f->Read(0, buf).status());  // fetched: data-read token over block 0
+  uint64_t fetches = rig->server->stats().fetch_data_calls;
+  ASSERT_OK(f->Read(0, buf).status());
+  ASSERT_EQ(rig->server->stats().fetch_data_calls, fetches) << "served from cache";
+
+  // The lost grant: an id this client never saw, on the same file, covering
+  // block 0; nothing is in flight.
+  Token ghost;
+  ghost.id = 999999;
+  ghost.fid = f->fid();
+  ghost.types = kTokenDataRead | kTokenStatusRead;
+  ghost.range = ByteRange{0, kBlockSize};
+  ghost.host = client->node();
+  EXPECT_EQ(SendRevocation(*rig, client->node(), ghost, kTokenDataRead,
+                           rig->server->NextStamp(f->fid())),
+            kRevokeReturned);
+  ASSERT_OK(f->Read(0, buf).status());
+  EXPECT_GT(rig->server->stats().fetch_data_calls, fetches)
+      << "block 0 must be re-fetched, not served under a stripped token";
+}
+
+TEST(RevocationOrderingTest, UnknownWriteRevocationPushesDirtyDataFirst) {
+  auto rig = DfsRig::Create();
+  ASSERT_NE(rig, nullptr);
+  CacheManager* client = rig->NewClient();
+  ASSERT_OK_AND_ASSIGN(VfsRef vfs, client->MountVolume("home"));
+  ASSERT_OK(WriteFileAt(*vfs, "/f", std::string(kBlockSize, 'o'), TestCred()));
+  ASSERT_OK(client->SyncAll());
+  ASSERT_OK_AND_ASSIGN(VnodeRef f, ResolvePath(*vfs, "/f"));
+  std::vector<uint8_t> fresh(kBlockSize, 'n');
+  ASSERT_OK(f->Write(0, fresh).status());  // block 0 dirty under a write token
+
+  Token ghost;
+  ghost.id = 999999;
+  ghost.fid = f->fid();
+  ghost.types = kTokenDataRead | kTokenDataWrite | kTokenStatusRead;
+  ghost.range = ByteRange{0, kBlockSize};
+  ghost.host = client->node();
+  EXPECT_EQ(SendRevocation(*rig, client->node(), ghost, kTokenDataWrite,
+                           rig->server->NextStamp(f->fid())),
+            kRevokeReturned);
+  // The server's own copy, read beneath the token layer: the dirty block
+  // reached it before the revocation was answered.
+  ASSERT_OK_AND_ASSIGN(VfsRef physical, rig->server->ExportedVolume(rig->volume_id));
+  ASSERT_OK_AND_ASSIGN(std::string back, ReadFileAt(*physical, "/f"));
   ASSERT_EQ(back.size(), kBlockSize);
   EXPECT_EQ(std::count(back.begin(), back.end(), 'n'), static_cast<ptrdiff_t>(kBlockSize));
 }

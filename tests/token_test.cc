@@ -3,6 +3,7 @@
 // deferred returns, refusals, host teardown.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <thread>
 
 #include "src/tokens/token_manager.h"
@@ -282,17 +283,142 @@ TEST(TokenManagerTest, EmptiedVolumeIndexEntriesArePruned) {
     ASSERT_OK(t.status());
     granted.push_back({t->id, t->types});
   }
-  EXPECT_EQ(mgr.VolumeIndexEntries(), 32u);
+  EXPECT_EQ(mgr.FidIndexEntries(), 32u);
   for (auto [id, types] : granted) {
     ASSERT_OK(mgr.Return(id, types));
   }
-  EXPECT_EQ(mgr.VolumeIndexEntries(), 0u);
+  EXPECT_EQ(mgr.FidIndexEntries(), 0u);
 
   // UnregisterHost prunes too.
   ASSERT_OK(mgr.Grant(1, Fid{77, 1, 1}, kTokenDataRead, ByteRange::All()).status());
-  EXPECT_EQ(mgr.VolumeIndexEntries(), 1u);
+  EXPECT_EQ(mgr.FidIndexEntries(), 1u);
   mgr.UnregisterHost(1);
-  EXPECT_EQ(mgr.VolumeIndexEntries(), 0u);
+  EXPECT_EQ(mgr.FidIndexEntries(), 0u);
+}
+
+// --- Folding a host's redundant cache tokens ---
+
+TEST(TokenFoldTest, FoldedTypesFollowsTheRule) {
+  Token held{.id = 1, .fid = kFileA, .types = kTokenDataRead | kTokenStatusRead,
+             .range = ByteRange{0, 4096}, .host = 1};
+  Token grant{.id = 2, .fid = kFileA, .types = kTokenDataRead | kTokenStatusRead,
+              .range = ByteRange{0, 8192}, .host = 1};
+  EXPECT_EQ(FoldedTypes(grant, held), kTokenDataRead | kTokenStatusRead);
+  // Data folds only into a containing range; status ignores ranges.
+  grant.range = ByteRange{4096, 8192};
+  EXPECT_EQ(FoldedTypes(grant, held), kTokenStatusRead);
+  // Open and lock types never fold.
+  held.types = grant.types = kTokenOpenRead | kTokenLockRead;
+  grant.range = ByteRange::All();
+  EXPECT_EQ(FoldedTypes(grant, held), 0u);
+  // Only an older token of the same host on the same fid folds.
+  held.types = grant.types = kTokenStatusRead;
+  EXPECT_EQ(FoldedTypes(held, grant), 0u) << "newer token";
+  held.host = 2;
+  EXPECT_EQ(FoldedTypes(grant, held), 0u) << "other host";
+  held.host = 1;
+  held.fid = kFileB;
+  EXPECT_EQ(FoldedTypes(grant, held), 0u) << "other file";
+}
+
+TEST(TokenFoldTest, RepeatedFetchAndPeerWriteKeepsOneTokenPerRange) {
+  // Host A fetches a block, host B writes in the file (no status-write, so
+  // only A's data-read bit is revoked), and around it goes. Without folding
+  // every round leaves A a status-read residue: ~50 tokens on one file.
+  TokenManager mgr;
+  ScriptedHost a("a"), b("b");
+  mgr.RegisterHost(1, &a);
+  mgr.RegisterHost(2, &b);
+  const ByteRange ranges[] = {{0, 4096}, {4096, 8192}};
+  for (int round = 0; round < 50; ++round) {
+    ASSERT_OK(mgr.Grant(1, kFileA, kTokenDataRead | kTokenStatusRead, ranges[round % 2],
+                        /*fold=*/true)
+                  .status());
+    ASSERT_OK(mgr.Grant(2, kFileA, kTokenDataRead | kTokenDataWrite | kTokenStatusRead,
+                        ranges[0], /*fold=*/true)
+                  .status());
+  }
+  size_t status_tokens = 0;
+  std::map<std::pair<uint64_t, uint64_t>, size_t> per_range;
+  for (const Token& t : mgr.TokensForFid(kFileA)) {
+    if (t.host != 1) {
+      continue;
+    }
+    status_tokens += (t.types & kTokenStatusRead) != 0 ? 1 : 0;
+    per_range[{t.range.start, t.range.end}] += 1;
+  }
+  EXPECT_LE(status_tokens, 1u);
+  for (const auto& [range, n] : per_range) {
+    EXPECT_LE(n, 1u) << "range [" << range.first << ", " << range.second << ")";
+  }
+  EXPECT_LE(mgr.TokensForFid(kFileA).size(), 4u);
+}
+
+TEST(TokenFoldTest, TransientGrantLeavesTheCachedTokenIntact) {
+  // The truncate pattern: a non-folding grant held for one operation and
+  // returned. The host's cache token must survive it untouched.
+  TokenManager mgr;
+  ScriptedHost a("a");
+  mgr.RegisterHost(1, &a);
+  auto cached = mgr.Grant(1, kFileA, kTokenDataRead | kTokenStatusRead | kTokenStatusWrite,
+                          ByteRange::All(), /*fold=*/true);
+  ASSERT_OK(cached.status());
+  auto transient =
+      mgr.Grant(1, kFileA, kTokenDataWrite | kTokenStatusWrite, ByteRange::All());
+  ASSERT_OK(transient.status());
+  ASSERT_OK(mgr.Return(transient->id, transient->types));
+  auto tokens = mgr.TokensForFid(kFileA);
+  ASSERT_EQ(tokens.size(), 1u);
+  EXPECT_EQ(tokens[0].id, cached->id);
+  EXPECT_EQ(tokens[0].types, cached->types);
+}
+
+TEST(TokenFoldTest, SecondOpenSurvivesTheFirstClose) {
+  // Two opens of one file by one host, then one closes: the other open token
+  // must still make another host's exclusive open fail (the client reports
+  // this kConflict as kTextBusy). Open bits never fold, even into a folding
+  // grant that carries them.
+  TokenManager mgr;
+  ScriptedHost a("a", Status(ErrorCode::kBusy, "file is open"));
+  ScriptedHost b("b");
+  mgr.RegisterHost(1, &a);
+  mgr.RegisterHost(2, &b);
+  auto first = mgr.Grant(1, kFileA, kTokenOpenRead, ByteRange::All());
+  ASSERT_OK(first.status());
+  auto second = mgr.Grant(1, kFileA, kTokenOpenRead, ByteRange::All(), /*fold=*/true);
+  ASSERT_OK(second.status());
+  ASSERT_OK(mgr.Return(first->id, first->types));
+  EXPECT_EQ(mgr.Grant(2, kFileA, kTokenOpenExclusive, ByteRange::All()).code(),
+            ErrorCode::kConflict);
+  EXPECT_EQ(a.revocations(), 1u);
+  EXPECT_TRUE(mgr.HasToken(second->id));
+}
+
+TEST(TokenManagerTest, TokenLosingItsWholeVolumeBitStaysIndexed) {
+  // The conflict index keeps whole-volume tokens in a per-volume list and
+  // every other token in its file's list. A token that loses its
+  // whole-volume bit but keeps other types moves between them, and is still
+  // found, revoked and pruned afterwards.
+  TokenManager mgr;
+  ScriptedHost h1("h1"), h2("h2");
+  mgr.RegisterHost(1, &h1);
+  mgr.RegisterHost(2, &h2);
+  auto vt = mgr.Grant(1, kVolume, kTokenWholeVolume | kTokenStatusRead, ByteRange::All());
+  ASSERT_OK(vt.status());
+  auto writer = mgr.Grant(2, kFileA, kTokenDataWrite, ByteRange::All());
+  ASSERT_OK(writer.status());
+  EXPECT_EQ(h1.revocations(), 1u);
+  auto left = mgr.TokensForFid(kVolume);
+  ASSERT_EQ(left.size(), 1u);
+  EXPECT_EQ(left[0].types, kTokenStatusRead);
+
+  auto status_writer = mgr.Grant(2, kVolume, kTokenStatusWrite, ByteRange::All());
+  ASSERT_OK(status_writer.status());
+  EXPECT_EQ(h1.revocations(), 2u);
+  EXPECT_FALSE(mgr.HasToken(vt->id));
+  ASSERT_OK(mgr.Return(writer->id, writer->types));
+  ASSERT_OK(mgr.Return(status_writer->id, status_writer->types));
+  EXPECT_EQ(mgr.FidIndexEntries(), 0u);
 }
 
 TEST(TokenManagerTest, ShardCountIsConfigurable) {
